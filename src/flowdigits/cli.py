@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .benford import ZeroPolicy
-from .detector import DetectorConfig, LabelingRule, run_detector, write_scores_csv
+from .detector import DetectorConfig, LabelingRule, OrderedFlows, run_detector, window_arrays, write_scores_csv
 from .errors import (
     CapabilityError,
     DegenerateLabelsError,
@@ -26,7 +25,7 @@ from .errors import (
     GeneratorSpecError,
     ParseError,
 )
-from .evaluation import grid_evaluate, roc_auc, window_size_sweep, write_roc_csv, write_sweep_csv
+from .evaluation import grid_evaluate, roc_curve, window_size_sweep, write_roc_csv, write_sweep_csv
 from .ingest import FlowDataset, OrderingScheme, adapt_kdd, parse_flow_csv, parse_tshark_conversations, write_flow_csv
 from .similarity import KldParams, SimilarityMetric
 from .synth import AttackBurst, ConstantSize, GeneratorSpec, UniformSize, describe, generate
@@ -48,14 +47,6 @@ DEFAULT_ABS_GRID = tuple(
 )
 
 DEFAULT_SWEEP_GRID = tuple(range(500, 20_001, 250))
-
-
-def _threads_default() -> int:
-    value = os.environ.get("FLOWDIGITS_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _load_dataset(path: str, fmt: str, max_flows: int | None) -> FlowDataset:
@@ -227,8 +218,8 @@ def cmd_evaluate(args) -> int:
         raise CapabilityError("evaluation requires a labeled dataset")
 
     if args.roc:
-        scores = run_detector(dataset, config)
-        curve = roc_auc((s.score, s.truth) for s in scores)
+        _, scores, _, truths = window_arrays(OrderedFlows(dataset, config), config)
+        curve = roc_curve(scores, truths)
         output = args.output or "roc.csv"
         with open(output, "w", encoding="utf-8", newline="") as handle:
             write_roc_csv(curve, handle)
@@ -249,7 +240,6 @@ def cmd_evaluate(args) -> int:
         labeling_grid,
         metric_set,
         step=args.step,
-        threads=_threads_default(),
     )
     output = args.output or "sweep.csv"
     with open(output, "w", encoding="utf-8", newline="") as handle:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
 
 from . import similarity
-from .benford import DigitDistribution, ZeroPolicy, digit_histogram, leading_digits
+from .benford import ZeroPolicy, digit_histogram, leading_digits
 from .errors import CapabilityError, EmptyHistogramError
 from .ingest import FlowDataset, OrderingScheme, order_flows
 from .similarity import KldParams, SimilarityMetric
@@ -27,7 +28,7 @@ from .windowing import (
     difference_sequence,
     size_sequence,
     window_differences,
-    windows,
+    window_starts,
 )
 
 #: Anomaly score assigned to windows whose digit histogram is empty
@@ -119,61 +120,89 @@ def score_window(dataset: FlowDataset, config: DetectorConfig, window: WindowInd
     except EmptyHistogramError:
         return WindowScore(window=window, score=INVALID_SCORE, decision=1, valid=False)
     raw = similarity.compute(config.metric, hist, kld=config.kld)
-    score = similarity.anomaly_score(config.metric, raw)
+    score = float(similarity.anomaly_score(config.metric, raw))
     return WindowScore(window=window, score=score, decision=int(score >= config.threshold_t))
 
 
-def _window_digit_counts(digits: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
-    """Digit counts (rows of 10) for slices [start, start + length) of digits.
+#: Windows scored per batch, so scoring temporaries stay near this many rows of 10.
+_CHUNK = 1024
 
-    Switches to cumulative-count lookups when per-window bincounts would
-    touch far more elements than the sequence holds (dense slides).
+
+class OrderedFlows:
+    """One dataset in window order, reduced to what window scoring reads.
+
+    Ordering the flows and taking the first digits of their size differences
+    happen once here, so sweeps over window sizes and metrics share them.
     """
-    k = len(starts)
-    counts = np.zeros((k, 10), dtype=np.int64)
-    if length == 0 or k == 0:
-        return counts
-    if k * length <= 16 * digits.size:
-        for i, s in enumerate(starts):
-            counts[i] = np.bincount(digits[s : s + length], minlength=10)
-        return counts
-    cum = np.zeros((10, digits.size + 1), dtype=np.int64)
-    for d in range(10):
-        np.cumsum(digits == d, out=cum[d, 1:])
-    ends = starts + length
-    for d in range(10):
-        counts[:, d] = cum[d, ends] - cum[d, starts]
-    return counts
+
+    def __init__(self, dataset: FlowDataset, config: DetectorConfig):
+        self.dataset = order_flows(dataset, config.ordering)
+        self.n_flows = len(self.dataset.flows)
+        digits = leading_digits(difference_sequence(size_sequence(self.dataset, config.unit)))
+        # Sorted digit * stride + position: the positions of each digit, in
+        # order, so window counts are two binary searches per digit.
+        self._stride = digits.size + 1
+        self._keys = digits * self._stride
+        self._keys += np.arange(digits.size)
+        self._keys.sort()
+
+    @cached_property
+    def _label_cum(self) -> np.ndarray:
+        labels = np.fromiter((f.label for f in self.dataset.flows), dtype=np.int64, count=self.n_flows)
+        return np.concatenate(([0], np.cumsum(labels)))
+
+    def digit_counts(self, starts: np.ndarray, length: int) -> np.ndarray:
+        """(k, 10) first-digit counts of the differences [start, start + length)."""
+        offsets = np.arange(10)[:, None] * self._stride
+        lo = np.searchsorted(self._keys, offsets + starts)
+        hi = np.searchsorted(self._keys, offsets + (starts + length))
+        return (hi - lo).T
+
+    def truths(self, starts: np.ndarray, w: int, labeling: LabelingRule) -> np.ndarray:
+        """Ground truth of the windows [start, start + w): 1 iff at least T_l flows are malicious.
+
+        The dataset must be labeled.
+        """
+        t_abs = resolve_labeling_threshold(labeling, w)
+        return (self._label_cum[starts + w] - self._label_cum[starts] >= t_abs).astype(np.int64)
 
 
-def _scores_from_counts(
+def _count_scores(
     counts: np.ndarray, policy: ZeroPolicy, metric: SimilarityMetric, kld: KldParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(anomaly scores, validity) per window from per-window digit counts.
+    """(anomaly scores, validity) per row of (k, 10) first-digit counts.
 
-    Arithmetic matches digit_histogram + compute exactly: identical integer
-    counts divide by identical totals, so batch and single-window paths
-    agree bit for bit.
+    Counts divide by the same totals as in digit_histogram. A row whose
+    histogram would be empty is invalid and scores INVALID_SCORE.
     """
-    k = counts.shape[0]
-    scores = np.full(k, INVALID_SCORE)
-    valid = np.zeros(k, dtype=bool)
-    for i in range(k):
-        row = counts[i]
-        if policy is ZeroPolicy.SKIP_ZEROS:
-            retained = int(row[1:].sum())
-            if retained == 0:
-                continue
-            hist = DigitDistribution(probs=row[1:] / retained, sample_count=retained, extended=False)
-        else:
-            total = int(row.sum())
-            if total == 0:
-                continue
-            hist = DigitDistribution(probs=row / total, sample_count=total, extended=True)
-        raw = similarity.compute(metric, hist, kld=kld)
-        scores[i] = similarity.anomaly_score(metric, raw)
-        valid[i] = True
-    return scores, valid
+    skip = policy is ZeroPolicy.SKIP_ZEROS
+    total = counts[:, 1:].sum(axis=1) if skip else counts.sum(axis=1)
+    valid = total > 0
+    probs = counts / np.where(valid, total, 1)[:, None]
+    raw = similarity._metric_rows(metric, probs[:, 1:], 0.0 if skip else probs[:, 0], kld)
+    return np.where(valid, similarity.anomaly_score(metric, raw), INVALID_SCORE), valid
+
+
+def window_arrays(
+    flows: OrderedFlows, config: DetectorConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(starts, anomaly scores, validity, truths) of every window of config.window.
+
+    Windows are scored in chunks of _CHUNK. Truths are None unless the
+    dataset is labeled and the config carries a labeling rule.
+    """
+    w = config.window.w
+    starts = window_starts(flows.n_flows, config.window)
+    scores = np.empty(len(starts))
+    valid = np.empty(len(starts), dtype=bool)
+    for lo in range(0, len(starts), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        counts = flows.digit_counts(starts[part], w - 1)
+        scores[part], valid[part] = _count_scores(counts, config.zero_policy, config.metric, config.kld)
+    truths = None
+    if flows.dataset.labeled and config.labeling is not None:
+        truths = flows.truths(starts, w, config.labeling)
+    return starts, scores, valid, truths
 
 
 def run_detector(dataset: FlowDataset, config: DetectorConfig) -> list[WindowScore]:
@@ -184,38 +213,21 @@ def run_detector(dataset: FlowDataset, config: DetectorConfig) -> list[WindowSco
     the work. Truth fields are filled only when the dataset is labeled and
     the config carries a labeling rule.
     """
-    ordered = order_flows(dataset, config.ordering)
-    n = len(ordered.flows)
-    wlist = windows(n, config.window)
-    if not wlist:
-        return []
-
-    sizes = size_sequence(ordered, config.unit)
-    digits = leading_digits(difference_sequence(sizes))
-    starts = np.fromiter((w.start for w in wlist), dtype=np.int64, count=len(wlist))
-    counts = _window_digit_counts(digits, starts, config.window.w - 1)
-    scores, valid = _scores_from_counts(counts, config.zero_policy, config.metric, config.kld)
-
-    truths: np.ndarray | None = None
-    if ordered.labeled and config.labeling is not None:
-        t_abs = resolve_labeling_threshold(config.labeling, config.window.w)
-        labels = np.fromiter((f.label for f in ordered.flows), dtype=np.int64, count=n)
-        cum = np.concatenate(([0], np.cumsum(labels)))
-        truths = (cum[starts + config.window.w] - cum[starts] >= t_abs).astype(np.int64)
-
-    out = []
-    for i, win in enumerate(wlist):
-        score = float(scores[i])
-        out.append(
-            WindowScore(
-                window=win,
-                score=score,
-                decision=int(score >= config.threshold_t),
-                truth=None if truths is None else int(truths[i]),
-                valid=bool(valid[i]),
-            )
+    if len(dataset.flows) < config.window.w:
+        return []  # nothing to score, so sizes that cannot be read are no error
+    starts, scores, valid, truths = window_arrays(OrderedFlows(dataset, config), config)
+    w, threshold = config.window.w, config.threshold_t
+    truth_list = [None] * len(starts) if truths is None else truths.tolist()
+    return [
+        WindowScore(
+            window=WindowIndex(start=start, end=start + w),
+            score=score,
+            decision=int(score >= threshold),
+            truth=truth,
+            valid=ok,
         )
-    return out
+        for start, score, ok, truth in zip(starts.tolist(), scores.tolist(), valid.tolist(), truth_list)
+    ]
 
 
 SCORES_CSV_HEADER = "window_index,start_flow,end_flow,score,decision,truth,valid"

@@ -4,25 +4,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .benford import leading_digits
-from .detector import (
-    DetectorConfig,
-    LabelingRule,
-    WindowScore,
-    _scores_from_counts,
-    _window_digit_counts,
-    resolve_labeling_threshold,
-)
+from .detector import DetectorConfig, LabelingRule, OrderedFlows, WindowScore, window_arrays
 from .errors import CapabilityError, DegenerateLabelsError, EmptyStatsError
-from .ingest import FlowDataset, order_flows
+from .ingest import FlowDataset
 from .similarity import SimilarityMetric
-from .windowing import WindowSpec, difference_sequence, size_sequence, windows
+from .windowing import WindowSpec, window_starts
 
 
 @dataclass(frozen=True)
@@ -38,44 +29,47 @@ class RocCurve:
     auc: float
 
 
-def roc_auc(pairs: Iterable[tuple[float, int]]) -> RocCurve:
-    """ROC curve and AUC for (score, truth) pairs.
+def roc_curve(scores: np.ndarray, truths: np.ndarray) -> RocCurve:
+    """ROC curve and AUC for a float score array without NaN and a 0/1 int truth array.
 
     Thresholds sweep the distinct scores. Infinite scores rank above every
     finite score; tied scores collapse into one curve point, which gives
     tied positive/negative pairs half credit. The AUC numerator accumulates
     in integers, so equal inputs can be compared for exact equality.
     """
-    data = []
+    n_pos = int(truths.sum())
+    n_neg = len(truths) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateLabelsError("ROC needs at least one positive and one negative window")
+
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    # One curve point per run of equal scores, taken at the run's end.
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(truths[order])[ends]
+    fp = ends + 1 - tp
+    dtp = np.diff(tp, prepend=0)
+    dfp = np.diff(fp, prepend=0)
+    auc_num = int(np.sum(dfp * (2 * (tp - dtp) + dtp)))
+    thresholds = ranked[np.append(0, ends[:-1] + 1)]
+    points = ((math.inf, 0.0, 0.0),) + tuple(
+        zip(thresholds.tolist(), (fp / n_neg).tolist(), (tp / n_pos).tolist())
+    )
+    return RocCurve(points=points, auc=auc_num / (2 * n_pos * n_neg))
+
+
+def roc_auc(pairs: Iterable[tuple[float, int]]) -> RocCurve:
+    """ROC curve and AUC for (score, truth) pairs, checked first; see roc_curve."""
+    scores, truths = [], []
     for s, t in pairs:
         s = float(s)
         if math.isnan(s):
             raise ValueError("scores must not be NaN")
         if t not in (0, 1):
             raise ValueError(f"truth labels must be 0 or 1, got {t!r}")
-        data.append((s, t))
-    n_pos = sum(t for _, t in data)
-    n_neg = len(data) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError("ROC needs at least one positive and one negative window")
-
-    data.sort(key=lambda p: p[0], reverse=True)
-    points = [(math.inf, 0.0, 0.0)]
-    tp = fp = 0
-    auc_num = 0
-    i = 0
-    while i < len(data):
-        threshold = data[i][0]
-        dtp = dfp = 0
-        while i < len(data) and data[i][0] == threshold:
-            dtp += data[i][1]
-            dfp += 1 - data[i][1]
-            i += 1
-        auc_num += dfp * (2 * tp + dtp)
-        tp += dtp
-        fp += dfp
-        points.append((threshold, fp / n_neg, tp / n_pos))
-    return RocCurve(points=tuple(points), auc=auc_num / (2 * n_pos * n_neg))
+        scores.append(s)
+        truths.append(int(t))
+    return roc_curve(np.array(scores, dtype=float), np.array(truths, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -128,12 +122,6 @@ class SweepResult:
         return max(present, key=lambda c: c.value) if present else None
 
 
-def _prepared_digits(dataset: FlowDataset, config: DetectorConfig) -> tuple[FlowDataset, np.ndarray]:
-    ordered = order_flows(dataset, config.ordering)
-    sizes = size_sequence(ordered, config.unit)
-    return ordered, leading_digits(difference_sequence(sizes))
-
-
 def window_size_sweep(
     dataset: FlowDataset,
     config: DetectorConfig,
@@ -146,19 +134,15 @@ def window_size_sweep(
     by W // 2. Grid points larger than the dataset are reported absent with
     a warning instead of aborting the sweep.
     """
-    ordered, digits = _prepared_digits(dataset, config)
-    n = len(ordered.flows)
+    flows = OrderedFlows(dataset, config)
+    n = flows.n_flows
     cells = []
     for w in w_grid:
         if w > n:
             warnings.warn(f"window size {w} exceeds flow count {n}; cell skipped", RuntimeWarning)
             cells.append(SweepCell(coords=(w,), value=None, reason="insufficient flows"))
             continue
-        spec = WindowSpec(w, step)
-        wlist = windows(n, spec)
-        starts = np.fromiter((x.start for x in wlist), dtype=np.int64, count=len(wlist))
-        counts = _window_digit_counts(digits, starts, w - 1)
-        scores, valid = _scores_from_counts(counts, config.zero_policy, config.metric, config.kld)
+        _, scores, valid, _ = window_arrays(flows, replace(config, window=WindowSpec(w, step), labeling=None))
         if not valid.any():
             cells.append(SweepCell(coords=(w,), value=None, reason="no valid windows"))
             continue
@@ -180,58 +164,34 @@ def grid_evaluate(
     Scores are shared across labeling thresholds and ground truths across
     metrics, so each cell costs one ROC computation. Each grid W slides by
     ``step`` (default W // 2). Cells whose window labels come out
-    single-class are absent with reason "degenerate labels". Grid points
-    evaluate independently (optionally on a thread pool); the result table
-    is assembled in grid order either way.
+    single-class are absent with reason "degenerate labels". ``threads`` is
+    accepted and ignored: the work is array code, and a thread pool measured
+    no faster.
     """
     if not dataset.labeled:
         raise CapabilityError("grid evaluation requires a labeled dataset")
-    ordered, digits = _prepared_digits(dataset, base_config)
-    n = len(ordered.flows)
-    labels = np.fromiter((f.label for f in ordered.flows), dtype=np.int64, count=n)
-    label_cum = np.concatenate(([0], np.cumsum(labels)))
-
-    def eval_w(w: int) -> list[SweepCell]:
-        out: list[SweepCell] = []
-        if w > n:
-            for labeling in labeling_grid:
-                for metric in metric_set:
-                    out.append(
-                        SweepCell(
-                            coords=(w, labeling.describe(), metric.value),
-                            value=None,
-                            reason="insufficient flows",
-                        )
-                    )
-            return out
-        wlist = windows(n, WindowSpec(w, step))
-        starts = np.fromiter((x.start for x in wlist), dtype=np.int64, count=len(wlist))
-        counts = _window_digit_counts(digits, starts, w - 1)
-        window_labels = label_cum[starts + w] - label_cum[starts]
-        score_vectors = {
-            metric: _scores_from_counts(counts, base_config.zero_policy, metric, base_config.kld)[0]
-            for metric in metric_set
-        }
+    flows = OrderedFlows(dataset, base_config)
+    cells: list[SweepCell] = []
+    for w in w_grid:
+        if w > flows.n_flows:
+            cells.extend(
+                SweepCell(coords=(w, labeling.describe(), metric.value), value=None, reason="insufficient flows")
+                for labeling in labeling_grid
+                for metric in metric_set
+            )
+            continue
+        config = replace(base_config, window=WindowSpec(w, step), labeling=None)
+        starts = window_starts(flows.n_flows, config.window)
+        scores = {metric: window_arrays(flows, replace(config, metric=metric))[1] for metric in metric_set}
         for labeling in labeling_grid:
-            t_abs = resolve_labeling_threshold(labeling, w)
-            truths = (window_labels >= t_abs).astype(np.int64)
+            truths = flows.truths(starts, w, labeling)
             degenerate = bool(truths.all()) or not bool(truths.any())
             for metric in metric_set:
                 coords = (w, labeling.describe(), metric.value)
                 if degenerate:
-                    out.append(SweepCell(coords=coords, value=None, reason="degenerate labels"))
-                    continue
-                curve = roc_auc(zip(score_vectors[metric].tolist(), truths.tolist()))
-                out.append(SweepCell(coords=coords, value=curve.auc))
-        return out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_w = list(pool.map(eval_w, w_grid))
-    else:
-        per_w = [eval_w(w) for w in w_grid]
-
-    cells = [cell for chunk in per_w for cell in chunk]
+                    cells.append(SweepCell(coords=coords, value=None, reason="degenerate labels"))
+                else:
+                    cells.append(SweepCell(coords=coords, value=roc_curve(scores[metric], truths).auc))
     return SweepResult(axes=("w", "labeling", "metric"), cells=tuple(cells))
 
 

@@ -13,6 +13,8 @@ import csv
 import gzip
 import io
 import ipaddress
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -83,25 +85,36 @@ class FlowDataset:
         return len(self.flows)
 
 
-def _open_text(source: str | Path | IO) -> tuple[IO[str], bool]:
-    """Normalize a path / binary stream / text stream to a text stream.
+#: Largest flow size the scoring arrays (int64) can hold.
+MAX_SIZE = 2**63 - 1
 
-    Returns (stream, owns) where owns says whether the caller must close it.
-    Paths ending in .gz are decompressed transparently.
+
+@contextmanager
+def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
+    """Normalize a path / bytes / binary stream / text stream to a text stream.
+
+    Paths are opened and closed here; paths ending in .gz are decompressed
+    transparently. A caller's stream is never closed: a binary one is read
+    through a wrapper that is detached from it afterwards.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        if path.suffix == ".gz":
-            return gzip.open(path, "rt", encoding="utf-8", newline=""), True
-        return open(path, "r", encoding="utf-8-sig", newline=""), True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), True
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8-sig", newline=""), False
-        return source, False
-    raise TypeError(f"unsupported input source: {type(source)!r}")
+        opener = gzip.open if path.suffix == ".gz" else open
+        with opener(path, "rt", encoding="utf-8-sig", newline="") as stream:
+            yield stream
+    elif isinstance(source, (bytes, bytearray)):
+        yield io.StringIO(source.decode("utf-8-sig"))
+    elif hasattr(source, "read"):
+        if isinstance(source.read(0), bytes):
+            wrapper = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+            try:
+                yield wrapper
+            finally:
+                wrapper.detach()
+        else:
+            yield source
+    else:
+        raise TypeError(f"unsupported input source: {type(source)!r}")
 
 
 def _int_field(text: str, name: str, line: int, lo: int = 0, hi: int | None = None) -> int:
@@ -121,8 +134,8 @@ def _float_field(text: str, name: str, line: int) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"field {name} is not a number: {text!r}", line) from None
-    if not value >= 0.0:
-        raise ParseError(f"field {name} must be non-negative, got {value}", line)
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ParseError(f"field {name} must be finite and non-negative, got {value}", line)
     return value
 
 
@@ -143,8 +156,7 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
     counts. A label cell that is not exactly 0 or 1 is treated as absent,
     which makes the whole dataset unlabeled rather than failing the parse.
     """
-    stream, owns = _open_text(source)
-    try:
+    with _open_text(source) as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -167,8 +179,8 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
             src_port = _int_field(row[1], "src_port", lineno, 0, 65535)
             dst_ip = _address_field(row[2].strip(), "dst_ip", lineno)
             dst_port = _int_field(row[3], "dst_port", lineno, 0, 65535)
-            packets = None if row[4].strip() == "" else _int_field(row[4], "packets_total", lineno)
-            bytes_total = _int_field(row[5], "bytes_total", lineno)
+            packets = None if row[4].strip() == "" else _int_field(row[4], "packets_total", lineno, 0, MAX_SIZE)
+            bytes_total = _int_field(row[5], "bytes_total", lineno, 0, MAX_SIZE)
             if packets is not None and packets >= 1 and bytes_total < 1:
                 raise ParseError("flow with packets but zero bytes", lineno)
             rel_start = _float_field(row[6], "rel_start_s", lineno)
@@ -191,9 +203,6 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
                     seq_no=len(flows),
                 )
             )
-    finally:
-        if owns:
-            stream.close()
 
     labeled = all(f.label is not None for f in flows)
     return FlowDataset(flows=tuple(flows), labeled=labeled, source_name=source_name)
@@ -258,10 +267,9 @@ def parse_tshark_conversations(source: str | Path | IO, source_name: str = "") -
     integers or values with an SI suffix ("56 kB" means 56000); both forms
     are accepted, as are thousands separators. Flows come out unlabeled.
     """
-    stream, owns = _open_text(source)
     flows: list[FlowRecord] = []
     saw_table = False
-    try:
+    with _open_text(source) as stream:
         for lineno, line in _iter_lines(stream):
             text = line.strip()
             if not text:
@@ -298,6 +306,8 @@ def parse_tshark_conversations(source: str | Path | IO, source_name: str = "") -
                     i += 1
                 if value < 0:
                     raise ParseError(f"negative count {token!r}", lineno)
+                if not value <= MAX_SIZE:
+                    raise ParseError(f"count {token!r} is not a finite number up to {MAX_SIZE}", lineno)
                 counts.append(int(round(value)))
                 i += 1
             if len(tail) - i != 2:
@@ -321,9 +331,6 @@ def parse_tshark_conversations(source: str | Path | IO, source_name: str = "") -
                     seq_no=len(flows),
                 )
             )
-    finally:
-        if owns:
-            stream.close()
     if not saw_table:
         raise FormatError("no conversations table found in input")
     return FlowDataset(flows=tuple(flows), labeled=False, source_name=source_name)
@@ -352,9 +359,8 @@ def adapt_kdd(
     else; a trailing dot on the class is optional. ``max_flows`` truncates
     the dataset after that many TCP flows (for desk-scale runs).
     """
-    stream, owns = _open_text(source)
     flows: list[FlowRecord] = []
-    try:
+    with _open_text(source) as stream:
         reader = csv.reader(stream)
         for lineno, row in enumerate(reader, start=1):
             if not row:
@@ -365,6 +371,8 @@ def adapt_kdd(
                 continue
             src_bytes = _int_field(row[4].strip(), "src_bytes", lineno)
             dst_bytes = _int_field(row[5].strip(), "dst_bytes", lineno)
+            if src_bytes + dst_bytes > MAX_SIZE:
+                raise ParseError(f"src_bytes + dst_bytes exceeds {MAX_SIZE}", lineno)
             cls = row[-1].strip().rstrip(".")
             seq = len(flows)
             flows.append(
@@ -383,9 +391,6 @@ def adapt_kdd(
             )
             if max_flows is not None and len(flows) >= max_flows:
                 break
-    finally:
-        if owns:
-            stream.close()
     return FlowDataset(flows=tuple(flows), labeled=True, source_name=source_name)
 
 

@@ -46,7 +46,8 @@ SIMILARITIES = frozenset({SimilarityMetric.PEARSON_CC, SimilarityMetric.COSINE})
 #: on digit 9 would.
 DEFAULT_KLD_THETA = 2.0 * math.log2(1.0 / BENFORD_P[8])
 
-_STANDARD_REF = None
+#: The digit 1-9 reference used when a caller passes none.
+_BENFORD_LEADING = benford_reference(extended=False).leading
 
 
 @dataclass(frozen=True)
@@ -60,43 +61,104 @@ class KldParams:
             raise ValueError("theta must be positive")
 
 
-def _reference(ref: DigitDistribution | None) -> np.ndarray:
-    global _STANDARD_REF
-    if ref is not None:
-        return ref.leading
-    if _STANDARD_REF is None:
-        _STANDARD_REF = benford_reference(extended=False)
-    return _STANDARD_REF.leading
+def _sum9(t: np.ndarray) -> np.ndarray:
+    """Row sums of a (k, 9) array, each bit-identical to ``np.sum`` of that row alone.
+
+    Over a contiguous row NumPy runs the same loop as over a lone vector:
+    it starts from 0.0 and adds 8 or more values with an 8-lane pairwise
+    pattern. Other layouts may be summed in another order, hence the copy.
+    """
+    return np.add.reduce(np.ascontiguousarray(t), axis=1)
+
+
+def _sum_selected(t: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Row sums of the entries of t where keep holds, as ``np.sum(row[keep])`` adds them.
+
+    Entries outside keep must be +0.0. NumPy adds fewer than 8 values left
+    to right, which a running sum over the whole row reproduces since the
+    zeros add exactly nothing; 8 or 9 values take the pairwise pattern, so
+    rows keeping 8 are packed first.
+    """
+    n_kept = np.add.reduce(keep, axis=1)
+    out = np.where(n_kept < 8, np.add.accumulate(t, axis=1)[:, -1], _sum9(t))
+    eight = n_kept == 8
+    if eight.any():
+        out[eight] = np.add.reduce(t[eight][keep[eight]].reshape(-1, 8), axis=1)
+    return out
+
+
+def _metric_rows(
+    metric: SimilarityMetric,
+    leading: np.ndarray,
+    zero_mass: np.ndarray | float,
+    kld: KldParams | None = None,
+    ref: np.ndarray | None = None,
+) -> np.ndarray:
+    """Raw metric values of k observations at once, in native orientation.
+
+    ``leading`` is (k, 9): each observation's digit 1-9 probabilities, never
+    renormalized. ``zero_mass`` is (k,) or one value: the digit-0 probability
+    (0 for the standard form). ``ref`` holds the 9 reference probabilities,
+    Benford's by default. Every sum keeps ``np.sum``'s association, so a row
+    never depends on the batch it is computed in.
+    """
+    o = leading
+    r = (_BENFORD_LEADING if ref is None else ref)[None, :]
+    if metric is SimilarityMetric.CHI_SQUARE:
+        return _sum9((o - r) ** 2 / r)
+    if metric is SimilarityMetric.EUCLIDEAN:
+        return np.sqrt(_sum9((o - r) ** 2))
+    if metric is SimilarityMetric.MANHATTAN:
+        return _sum9(np.abs(o - r))
+    if metric is SimilarityMetric.CANBERRA:
+        # A zero denominator means o = r = 0, a zero term.
+        denom = o + r
+        return _sum9(np.abs(o - r) / np.where(denom > 0, denom, 1.0))
+    if metric is SimilarityMetric.PEARSON_CC:
+        oc = o - (_sum9(o) / 9)[:, None]
+        rc = r - (_sum9(r) / 9)[:, None]
+        so = np.sqrt(_sum9(oc**2))
+        sr = np.sqrt(_sum9(rc**2))
+        defined = (o.max(axis=1) != o.min(axis=1)) & (so != 0.0) & (sr != 0.0)
+        return np.divide(_sum9(oc * rc), so * sr, out=np.zeros(len(o)), where=defined)
+    if metric is SimilarityMetric.COSINE:
+        no = np.sqrt(_sum9(o**2))
+        nr = np.sqrt(_sum9(r**2))
+        return np.divide(_sum9(o * r), no * nr, out=np.zeros(len(o)), where=no != 0.0)
+    # Modified KLD: only digits with o > 0 enter the inner sum.
+    pos = o > 0
+    inner = _sum_selected(o * np.log2(np.where(pos, o, 1.0) / np.where(pos, r, 1.0)), pos)
+    return zero_mass * (kld or KldParams()).theta + np.sqrt(np.maximum(inner, 0.0))
+
+
+def compute(
+    metric: SimilarityMetric,
+    obs: DigitDistribution,
+    ref: DigitDistribution | None = None,
+    kld: KldParams | None = None,
+) -> float:
+    """Raw metric value, in the metric's native orientation."""
+    ref_leading = None if ref is None else ref.leading
+    raw = _metric_rows(metric, obs.leading[None, :], obs.zero_mass, kld, ref_leading)
+    return float(raw[0])
 
 
 def chi_square(obs: DigitDistribution, ref: DigitDistribution | None = None) -> float:
     """Pearson chi-square divergence, sum over digits 1-9 of (o-r)^2/r."""
-    o = obs.leading
-    r = _reference(ref)
-    return float(np.sum((o - r) ** 2 / r))
+    return compute(SimilarityMetric.CHI_SQUARE, obs, ref)
 
 
 def euclidean(obs: DigitDistribution, ref: DigitDistribution | None = None) -> float:
-    o = obs.leading
-    r = _reference(ref)
-    return float(np.sqrt(np.sum((o - r) ** 2)))
+    return compute(SimilarityMetric.EUCLIDEAN, obs, ref)
 
 
 def manhattan(obs: DigitDistribution, ref: DigitDistribution | None = None) -> float:
-    o = obs.leading
-    r = _reference(ref)
-    return float(np.sum(np.abs(o - r)))
+    return compute(SimilarityMetric.MANHATTAN, obs, ref)
 
 
 def canberra(obs: DigitDistribution, ref: DigitDistribution | None = None) -> float:
     """Sum of |o-r|/(o+r) over digits 1-9; a zero denominator contributes 0."""
-    o = obs.leading
-    r = _reference(ref)
-    denom = o + r
-    terms = np.zeros(9)
-    nz = denom > 0
-    terms[nz] = np.abs(o[nz] - r[nz]) / denom[nz]
-    return float(terms.sum())
+    return compute(SimilarityMetric.CANBERRA, obs, ref)
 
 
 def pearson_cc(obs: DigitDistribution, ref: DigitDistribution | None = None) -> float:
@@ -106,29 +168,13 @@ def pearson_cc(obs: DigitDistribution, ref: DigitDistribution | None = None) -> 
     an all-zero histogram) has no defined correlation; it returns 0 so that
     an all-equal histogram never silently scores as a perfect fit.
     """
-    o = obs.leading
-    r = _reference(ref)
-    if np.ptp(o) == 0:
-        return 0.0
-    oc = o - o.mean()
-    rc = r - r.mean()
-    so = np.sqrt(np.sum(oc**2))
-    sr = np.sqrt(np.sum(rc**2))
-    if so == 0.0 or sr == 0.0:
-        return 0.0
-    return float(np.sum(oc * rc) / (so * sr))
+    return compute(SimilarityMetric.PEARSON_CC, obs, ref)
 
 
 def cosine(obs: DigitDistribution, ref: DigitDistribution | None = None) -> float:
     """Cosine similarity of the digit 1-9 vectors; an all-zero observation
     (every value had first digit 0) returns 0 by convention."""
-    o = obs.leading
-    r = _reference(ref)
-    no = np.sqrt(np.sum(o**2))
-    if no == 0.0:
-        return 0.0
-    nr = np.sqrt(np.sum(r**2))
-    return float(np.sum(o * r) / (no * nr))
+    return compute(SimilarityMetric.COSINE, obs, ref)
 
 
 def modified_kld(
@@ -143,46 +189,18 @@ def modified_kld(
     below 1 and the inner sum can go negative; it is clamped at 0 before
     the square root since the p0*theta term already accounts for that mass.
     """
-    theta = (params or KldParams()).theta
-    o = obs.leading
-    r = _reference(ref)
-    nz = o > 0
-    inner = float(np.sum(o[nz] * np.log2(o[nz] / r[nz]))) if nz.any() else 0.0
-    if inner < 0.0:
-        inner = 0.0
-    return obs.zero_mass * theta + math.sqrt(inner)
+    return compute(SimilarityMetric.MODIFIED_KLD, obs, ref, params)
 
 
-_METRIC_FUNCS = {
-    SimilarityMetric.CHI_SQUARE: chi_square,
-    SimilarityMetric.EUCLIDEAN: euclidean,
-    SimilarityMetric.MANHATTAN: manhattan,
-    SimilarityMetric.CANBERRA: canberra,
-    SimilarityMetric.PEARSON_CC: pearson_cc,
-    SimilarityMetric.COSINE: cosine,
-}
-
-
-def compute(
-    metric: SimilarityMetric,
-    obs: DigitDistribution,
-    ref: DigitDistribution | None = None,
-    kld: KldParams | None = None,
-) -> float:
-    """Raw metric value, in the metric's native orientation."""
-    if metric is SimilarityMetric.MODIFIED_KLD:
-        return modified_kld(obs, ref, kld)
-    return _METRIC_FUNCS[metric](obs, ref)
-
-
-def anomaly_score(metric: SimilarityMetric, raw: float) -> float:
+def anomaly_score(metric: SimilarityMetric, raw):
     """Orient any metric so 0 means perfect fit and larger means worse.
 
     Divergences pass through; similarities map to 1 - raw, with the Pearson
     coefficient clamped below at 0 first so anti-correlation saturates at 1.
+    ``raw`` may be one value or an array of them.
     """
     if metric in DIVERGENCES:
         return raw
     if metric is SimilarityMetric.PEARSON_CC:
-        raw = max(raw, 0.0)
+        raw = np.maximum(raw, 0.0)
     return 1.0 - raw

@@ -72,12 +72,14 @@ def difference_sequence(sizes) -> np.ndarray:
     return np.abs(np.diff(arr))
 
 
+def window_starts(n_flows: int, spec: WindowSpec) -> np.ndarray:
+    """Start indices of all complete windows: 0, s, 2s, ... while start + w <= n."""
+    return np.arange(0, max(n_flows - spec.w + 1, 0), spec.s, dtype=np.int64)
+
+
 def windows(n_flows: int, spec: WindowSpec) -> list[WindowIndex]:
-    """All complete windows over n_flows: starts 0, s, 2s, ... while start + w <= n."""
-    if n_flows < spec.w:
-        return []
-    starts = range(0, n_flows - spec.w + 1, spec.s)
-    return [WindowIndex(start=i, end=i + spec.w) for i in starts]
+    """All complete windows over n_flows, as index ranges."""
+    return [WindowIndex(start=i, end=i + spec.w) for i in window_starts(n_flows, spec).tolist()]
 
 
 def window_differences(dataset: FlowDataset, unit: SizeUnit, window: WindowIndex) -> np.ndarray:
