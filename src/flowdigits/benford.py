@@ -114,13 +114,27 @@ def leading_digits(values: np.ndarray) -> np.ndarray:
         v[big] //= 10
 
 
+def digit_probabilities(counts: np.ndarray, policy: ZeroPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities, totals) of each row of (k, 10) first-digit counts.
+
+    Under SKIP_ZEROS digit 0 gets probability 0 and digits 1-9 are normalized
+    by their own count; under COUNT_ZEROS all ten digits are normalized by
+    the full count. A row with total 0 has no histogram and comes out all 0.
+    """
+    counts = np.asarray(counts)
+    if policy is ZeroPolicy.SKIP_ZEROS:
+        counts = np.concatenate((np.zeros_like(counts[:, :1]), counts[:, 1:]), axis=1)
+    totals = counts.sum(axis=1)
+    return counts / np.maximum(totals, 1)[:, None], totals
+
+
 def digit_histogram(values: Iterable[int], policy: ZeroPolicy) -> DigitDistribution:
     """Empirical first-digit distribution of non-negative integers.
 
-    Under SKIP_ZEROS the zeros are discarded and digits 1-9 are normalized
-    by the retained count; under COUNT_ZEROS digits 0-9 are normalized by
-    the full count. Raises EmptyHistogramError when the normalizing count
-    is zero; callers decide what an un-scorable window means.
+    The one-row case of digit_probabilities: standard form under SKIP_ZEROS,
+    extended form under COUNT_ZEROS. Raises EmptyHistogramError when the
+    normalizing count is zero; callers decide what an un-scorable window
+    means.
     """
     arr = np.asarray(values)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
@@ -132,13 +146,11 @@ def digit_histogram(values: Iterable[int], policy: ZeroPolicy) -> DigitDistribut
     if arr.size and int(arr.min()) < 0:
         raise ValueError("digit_histogram expects non-negative values")
 
-    counts = np.bincount(leading_digits(arr), minlength=10) if arr.size else np.zeros(10, dtype=np.int64)
-    if policy is ZeroPolicy.SKIP_ZEROS:
-        retained = int(counts[1:].sum())
-        if retained == 0:
-            raise EmptyHistogramError("no non-zero values to build a digit histogram from")
-        return DigitDistribution(probs=counts[1:] / retained, sample_count=retained, extended=False)
-    total = int(arr.size)
-    if total == 0:
-        raise EmptyHistogramError("no values to build a digit histogram from")
-    return DigitDistribution(probs=counts / total, sample_count=total, extended=True)
+    counts = np.bincount(leading_digits(arr), minlength=10)
+    probs, totals = digit_probabilities(counts[None, :], policy)
+    skip = policy is ZeroPolicy.SKIP_ZEROS
+    if totals[0] == 0:
+        raise EmptyHistogramError(f"no {'non-zero ' if skip else ''}values to build a digit histogram from")
+    return DigitDistribution(
+        probs=probs[0, 1:] if skip else probs[0], sample_count=int(totals[0]), extended=not skip
+    )

@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import IO, Callable
 
 from . import __version__
 from .benford import ZeroPolicy
@@ -50,6 +51,8 @@ DEFAULT_SWEEP_GRID = tuple(range(500, 20_001, 250))
 
 
 def _load_dataset(path: str, fmt: str, max_flows: int | None) -> FlowDataset:
+    if max_flows is not None and max_flows < 1:
+        raise ValueError(f"--max-flows must be at least 1, got {max_flows}")
     name = Path(path).name
     if fmt == "kdd":
         return adapt_kdd(path, source_name=name, max_flows=max_flows)
@@ -85,7 +88,12 @@ def _config_dict(config: DetectorConfig) -> dict:
     }
 
 
-def _write_manifest(output: str, command: str, config: dict, input_path: str | None) -> None:
+def _write_output(
+    output: str, write: Callable[[IO[str]], None], command: str, config: dict, input_path: str | None
+) -> None:
+    """Write one output file through write(handle), then its manifest side-car."""
+    with open(output, "w", encoding="utf-8", newline="") as handle:
+        write(handle)
     manifest = {
         "tool": "flowdigits",
         "version": __version__,
@@ -101,14 +109,16 @@ def _write_manifest(output: str, command: str, config: dict, input_path: str | N
         handle.write("\n")
 
 
-def _labeling_from_args(args) -> LabelingRule | None:
-    if getattr(args, "tl", None) is not None and getattr(args, "labeling_abs", None) is not None:
+def _labeling_from_args(args) -> tuple[str | float | int | None, bool]:
+    """(value, absolute) of whichever of --tl and --labeling-abs was given."""
+    if args.tl is not None and args.labeling_abs is not None:
         raise ValueError("--tl and --labeling-abs are mutually exclusive")
-    if getattr(args, "tl", None) is not None:
-        return LabelingRule(relative=float(args.tl))
-    if getattr(args, "labeling_abs", None) is not None:
-        return LabelingRule(absolute=int(args.labeling_abs))
-    return None
+    absolute = args.labeling_abs is not None
+    return (args.labeling_abs if absolute else args.tl), absolute
+
+
+def _labeling_rule(value: str | float | int, absolute: bool) -> LabelingRule:
+    return LabelingRule(absolute=int(value)) if absolute else LabelingRule(relative=float(value))
 
 
 def _config_from_args(args, labeling: LabelingRule | None = None) -> DetectorConfig:
@@ -131,24 +141,18 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_labeling_grid(text: str | None, absolute: bool) -> list[LabelingRule]:
     """A comma list of values, or "lo..hi" selecting from the built-in grid."""
-    if absolute:
-        default_grid = DEFAULT_ABS_GRID
-        make = lambda v: LabelingRule(absolute=int(v))
-        convert = int
-    else:
-        default_grid = DEFAULT_REL_GRID
-        make = lambda v: LabelingRule(relative=float(v))
-        convert = float
+    default_grid, convert = (DEFAULT_ABS_GRID, int) if absolute else (DEFAULT_REL_GRID, float)
     if text is None:
-        return [make(v) for v in default_grid]
-    if ".." in text:
+        chosen = list(default_grid)
+    elif ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = convert(lo_text), convert(hi_text)
         chosen = [v for v in default_grid if lo <= v <= hi]
         if not chosen:
             raise ValueError(f"no grid values inside {text!r}")
-        return [make(v) for v in chosen]
-    return [make(convert(part)) for part in text.split(",") if part.strip()]
+    else:
+        chosen = [convert(part) for part in text.split(",") if part.strip()]
+    return [_labeling_rule(v, absolute) for v in chosen]
 
 
 def _parse_burst(text: str) -> AttackBurst:
@@ -187,31 +191,26 @@ def _add_common_detector_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_score(args) -> int:
-    labeling = _labeling_from_args(args)
-    config = _config_from_args(args, labeling)
+    value, absolute = _labeling_from_args(args)
+    config = _config_from_args(args, None if value is None else _labeling_rule(value, absolute))
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     scores = run_detector(dataset, config)
     if args.output is None:
         write_scores_csv(scores, sys.stdout)
         return 0
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        write_scores_csv(scores, handle)
-    _write_manifest(args.output, "score", _config_dict(config), args.input)
+    _write_output(args.output, lambda h: write_scores_csv(scores, h), "score", _config_dict(config), args.input)
     alerts = sum(s.decision for s in scores)
     print(f"scored {len(scores)} windows, {alerts} alerts -> {args.output}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    value, absolute = _labeling_from_args(args)
     base_labeling = None
     if args.roc:
-        text = args.labeling_abs if args.labeling_abs is not None else args.tl
-        if text is None or "," in str(text) or ".." in str(text):
+        if value is None or "," in value or ".." in value:
             raise ValueError("--roc needs a single --tl or --labeling-abs value")
-        if args.labeling_abs is not None:
-            base_labeling = LabelingRule(absolute=int(args.labeling_abs))
-        else:
-            base_labeling = LabelingRule(relative=float(args.tl))
+        base_labeling = _labeling_rule(value, absolute)
     config = _config_from_args(args, base_labeling)
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     if not dataset.labeled:
@@ -221,16 +220,11 @@ def cmd_evaluate(args) -> int:
         _, scores, _, truths = window_arrays(OrderedFlows(dataset, config), config)
         curve = roc_curve(scores, truths)
         output = args.output or "roc.csv"
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            write_roc_csv(curve, handle)
-        _write_manifest(output, "evaluate --roc", _config_dict(config), args.input)
+        _write_output(output, lambda h: write_roc_csv(curve, h), "evaluate --roc", _config_dict(config), args.input)
         print(f"roc over {len(scores)} windows, auc={curve.auc:.9f} -> {output}")
         return 0
 
-    if args.tl is not None and args.labeling_abs is not None:
-        raise ValueError("--tl and --labeling-abs are mutually exclusive")
-    absolute = args.labeling_abs is not None
-    labeling_grid = _parse_labeling_grid(args.labeling_abs if absolute else args.tl, absolute)
+    labeling_grid = _parse_labeling_grid(value, absolute)
     w_grid = _parse_int_list(args.windows)
     metric_set = [SimilarityMetric(m.strip()) for m in args.metrics.split(",") if m.strip()]
     result = grid_evaluate(
@@ -242,9 +236,7 @@ def cmd_evaluate(args) -> int:
         step=args.step,
     )
     output = args.output or "sweep.csv"
-    with open(output, "w", encoding="utf-8", newline="") as handle:
-        write_sweep_csv(result, handle)
-    _write_manifest(output, "evaluate", _config_dict(config), args.input)
+    _write_output(output, lambda h: write_sweep_csv(result, h), "evaluate", _config_dict(config), args.input)
     best = result.best()
     if best is None:
         print("no evaluable grid cells (all degenerate)")
@@ -263,9 +255,7 @@ def cmd_sweep(args) -> int:
     w_grid = _parse_int_list(args.windows) if args.windows else list(DEFAULT_SWEEP_GRID)
     result = window_size_sweep(dataset, config, w_grid, step=args.step)
     output = args.output or "wsweep.csv"
-    with open(output, "w", encoding="utf-8", newline="") as handle:
-        write_sweep_csv(result, handle)
-    _write_manifest(output, "sweep", _config_dict(config), args.input)
+    _write_output(output, lambda h: write_sweep_csv(result, h), "sweep", _config_dict(config), args.input)
     present = sum(1 for c in result.cells if c.value is not None)
     print(f"swept {len(result.cells)} window sizes ({present} evaluable) -> {output}")
     return 0
@@ -286,10 +276,9 @@ def cmd_generate(args) -> int:
         pareto_alpha=args.pareto_alpha,
     )
     dataset = generate(spec)
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        write_flow_csv(dataset, handle)
-    _write_manifest(
+    _write_output(
         args.output,
+        lambda h: write_flow_csv(dataset, h),
         "generate",
         {
             "seed": spec.seed,

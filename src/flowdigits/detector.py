@@ -17,8 +17,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import similarity
-from .benford import ZeroPolicy, digit_histogram, leading_digits
-from .errors import CapabilityError, EmptyHistogramError
+from .benford import ZeroPolicy, digit_probabilities, leading_digits
+from .errors import CapabilityError
 from .ingest import FlowDataset, OrderingScheme, order_flows
 from .similarity import KldParams, SimilarityMetric
 from .windowing import (
@@ -73,16 +73,23 @@ def resolve_labeling_threshold(labeling: LabelingRule, w: int) -> int:
     return min(w, max(1, math.ceil(raw - 1e-9)))
 
 
+def _truths(label_cum: np.ndarray, starts: np.ndarray, w: int, t_l_abs: int) -> np.ndarray:
+    """1 where the window [start, start + w) holds at least t_l_abs malicious flows, else 0.
+
+    ``label_cum`` is the prefix sum of the 0/1 flow labels with a leading 0.
+    """
+    return (label_cum[starts + w] - label_cum[starts] >= t_l_abs).astype(np.int64)
+
+
 def label_window(flow_labels: Sequence[int | None], window: WindowIndex, t_l_abs: int) -> int:
     """Window truth: 1 iff the window holds at least t_l_abs malicious flows."""
     if t_l_abs < 1:
         raise ValueError("labeling threshold must be >= 1")
-    count = 0
-    for value in flow_labels[window.start : window.end]:
-        if value is None:
-            raise CapabilityError("window labeling requires a fully labeled dataset")
-        count += value
-    return 1 if count - t_l_abs >= 0 else 0
+    labels = flow_labels[window.start : window.end]
+    if any(value is None for value in labels):
+        raise CapabilityError("window labeling requires a fully labeled dataset")
+    label_cum = np.concatenate(([0], np.cumsum(labels, dtype=np.int64)))
+    return int(_truths(label_cum, np.zeros(1, dtype=np.int64), len(labels), t_l_abs)[0])
 
 
 @dataclass(frozen=True)
@@ -114,14 +121,10 @@ class WindowScore:
 
 def score_window(dataset: FlowDataset, config: DetectorConfig, window: WindowIndex) -> WindowScore:
     """Score one window; truth is left unset."""
-    diffs = window_differences(dataset, config.unit, window)
-    try:
-        hist = digit_histogram(diffs, config.zero_policy)
-    except EmptyHistogramError:
-        return WindowScore(window=window, score=INVALID_SCORE, decision=1, valid=False)
-    raw = similarity.compute(config.metric, hist, kld=config.kld)
-    score = float(similarity.anomaly_score(config.metric, raw))
-    return WindowScore(window=window, score=score, decision=int(score >= config.threshold_t))
+    counts = np.bincount(leading_digits(window_differences(dataset, config.unit, window)), minlength=10)
+    scores, valid = _count_scores(counts[None, :], config.zero_policy, config.metric, config.kld)
+    score = float(scores[0])
+    return WindowScore(window=window, score=score, decision=int(score >= config.threshold_t), valid=bool(valid[0]))
 
 
 #: Windows scored per batch, so scoring temporaries stay near this many rows of 10.
@@ -163,8 +166,7 @@ class OrderedFlows:
 
         The dataset must be labeled.
         """
-        t_abs = resolve_labeling_threshold(labeling, w)
-        return (self._label_cum[starts + w] - self._label_cum[starts] >= t_abs).astype(np.int64)
+        return _truths(self._label_cum, starts, w, resolve_labeling_threshold(labeling, w))
 
 
 def _count_scores(
@@ -172,14 +174,11 @@ def _count_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(anomaly scores, validity) per row of (k, 10) first-digit counts.
 
-    Counts divide by the same totals as in digit_histogram. A row whose
-    histogram would be empty is invalid and scores INVALID_SCORE.
+    A row whose histogram would be empty is invalid and scores INVALID_SCORE.
     """
-    skip = policy is ZeroPolicy.SKIP_ZEROS
-    total = counts[:, 1:].sum(axis=1) if skip else counts.sum(axis=1)
-    valid = total > 0
-    probs = counts / np.where(valid, total, 1)[:, None]
-    raw = similarity._metric_rows(metric, probs[:, 1:], 0.0 if skip else probs[:, 0], kld)
+    probs, totals = digit_probabilities(counts, policy)
+    valid = totals > 0
+    raw = similarity._metric_rows(metric, probs[:, 1:], probs[:, 0], kld)
     return np.where(valid, similarity.anomaly_score(metric, raw), INVALID_SCORE), valid
 
 

@@ -359,6 +359,8 @@ def adapt_kdd(
     else; a trailing dot on the class is optional. ``max_flows`` truncates
     the dataset after that many TCP flows (for desk-scale runs).
     """
+    if max_flows is not None and max_flows < 1:
+        raise ValueError(f"max_flows must be at least 1, got {max_flows}")
     flows: list[FlowRecord] = []
     with _open_text(source) as stream:
         reader = csv.reader(stream)

@@ -57,8 +57,9 @@ class KldParams:
     theta: float = DEFAULT_KLD_THETA
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
+        # An infinite weight would make every window without zeros 0 * inf = NaN.
+        if not (self.theta > 0 and math.isfinite(self.theta)):
+            raise ValueError(f"theta must be a finite positive number, got {self.theta!r}")
 
 
 def _sum9(t: np.ndarray) -> np.ndarray:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapabilityError
-from .ingest import FlowDataset
+from .ingest import FlowDataset, FlowRecord
 
 
 class SizeUnit(Enum):
@@ -50,18 +51,21 @@ class WindowIndex:
     end: int
 
 
-def size_sequence(dataset: FlowDataset, unit: SizeUnit) -> np.ndarray:
-    """Per-flow sizes in dataset order, as an int64 array."""
+def _sizes(flows: Sequence[FlowRecord], unit: SizeUnit, source_name: str) -> np.ndarray:
+    """Sizes of flows in order, as an int64 array; packet counts must all be present."""
     if unit is SizeUnit.BYTES:
-        return np.fromiter((f.bytes_total for f in dataset.flows), dtype=np.int64, count=len(dataset.flows))
-    values = np.empty(len(dataset.flows), dtype=np.int64)
-    for i, f in enumerate(dataset.flows):
+        return np.fromiter((f.bytes_total for f in flows), dtype=np.int64, count=len(flows))
+    values = np.empty(len(flows), dtype=np.int64)
+    for i, f in enumerate(flows):
         if f.packets_total is None:
-            raise CapabilityError(
-                f"dataset {dataset.source_name!r} has no packet counts (flow seq_no={f.seq_no})"
-            )
+            raise CapabilityError(f"dataset {source_name!r} has no packet counts (flow seq_no={f.seq_no})")
         values[i] = f.packets_total
     return values
+
+
+def size_sequence(dataset: FlowDataset, unit: SizeUnit) -> np.ndarray:
+    """Per-flow sizes in dataset order, as an int64 array."""
+    return _sizes(dataset.flows, unit, dataset.source_name)
 
 
 def difference_sequence(sizes) -> np.ndarray:
@@ -86,15 +90,4 @@ def window_differences(dataset: FlowDataset, unit: SizeUnit, window: WindowIndex
     """Difference sequence restricted to one window's flows (length w - 1)."""
     if not (0 <= window.start <= window.end <= len(dataset.flows)):
         raise ValueError(f"window {window} out of range for {len(dataset.flows)} flows")
-    span = dataset.flows[window.start : window.end]
-    if unit is SizeUnit.BYTES:
-        sizes = np.fromiter((f.bytes_total for f in span), dtype=np.int64, count=len(span))
-    else:
-        sizes = np.empty(len(span), dtype=np.int64)
-        for i, f in enumerate(span):
-            if f.packets_total is None:
-                raise CapabilityError(
-                    f"dataset {dataset.source_name!r} has no packet counts (flow seq_no={f.seq_no})"
-                )
-            sizes[i] = f.packets_total
-    return difference_sequence(sizes)
+    return difference_sequence(_sizes(dataset.flows[window.start : window.end], unit, dataset.source_name))

@@ -1,13 +1,14 @@
-"""Input contract: caller streams stay open, malformed sizes and times exit 2."""
+"""Input contract: caller streams stay open, malformed input exits 2, bad configuration exits 3."""
 
 import gzip
 import io
+import math
 
 import pytest
 
-from flowdigits import ParseError, adapt_kdd, parse_flow_csv, parse_tshark_conversations
+from flowdigits import KldParams, ParseError, adapt_kdd, parse_flow_csv, parse_tshark_conversations
 from flowdigits.cli import main
-from test_cli import KDD_ATTACK, KDD_NORMAL
+from test_cli import KDD_ATTACK, KDD_NORMAL, kdd_sample_text
 
 CSV_HEADER = "src_ip,src_port,dst_ip,dst_port,packets_total,bytes_total,rel_start_s,duration_s,label\n"
 CSV_ROW = "10.0.0.1,1000,10.0.0.2,80,{packets},{bytes},{start},{duration},0\n"
@@ -98,6 +99,7 @@ def test_csv_largest_int64_size_is_accepted(tmp_path, capsys):
         {"frames": "nan"},
         {"start": "inf"},
         {"duration": "nan"},
+        {"bytes_total": "12 XB"},
     ],
 )
 def test_tshark_out_of_range_counts_and_times_exit_2(tmp_path, capsys, fields):
@@ -111,3 +113,81 @@ def test_kdd_byte_sum_beyond_int64_exits_2(tmp_path, capsys):
     code, err = run_score(tmp_path, capsys, "kdd.csv", text, "kdd")
     assert code == 2
     assert "src_bytes + dst_bytes" in err and "line 2" in err
+
+
+KDD_TEXT = kdd_sample_text(n_normal=20, n_attack=20)
+LABELING = ["--labeling-abs", "1"]
+
+
+@pytest.mark.parametrize(
+    "fmt, text, flags, code, message",
+    [
+        pytest.param("csv", "src,dst\n1,2\n", LABELING, 2, "unexpected header", id="csv-bad-header"),
+        pytest.param(
+            "csv", CSV_HEADER + "10.0.0.1,1000,10.0.0.2\n", LABELING, 2, "expected 9 fields", id="csv-short-row"
+        ),
+        pytest.param(
+            "csv", csv_text().replace(",1000,", ",http,"), LABELING, 2, "src_port is not an integer", id="csv-port-text"
+        ),
+        pytest.param(
+            "csv", csv_text().replace(",80,", ",65536,"), LABELING, 2, "dst_port must be <= 65535", id="csv-port-range"
+        ),
+        pytest.param(
+            "tshark",
+            TSHARK_ROW.format(frames=2, bytes=120, start="0.5", duration="1.0") + tshark_text(),
+            LABELING,
+            2,
+            "conversation line before any table header",
+            id="tshark-row-before-header",
+        ),
+        pytest.param(
+            "kdd", KDD_TEXT + "0,tcp,http,SF,10,20\n", LABELING, 2, "expected at least 42 fields", id="kdd-short-row"
+        ),
+        pytest.param("csv", "", LABELING, 2, "missing header line", id="csv-empty"),
+        pytest.param("tshark", "", LABELING, 2, "no conversations table", id="tshark-empty"),
+        pytest.param("kdd", "", LABELING, 2, "at least one positive and one negative window", id="kdd-empty"),
+        pytest.param(
+            "kdd", KDD_TEXT, ["--tl", "0.9", "--labeling-abs", "5"], 3, "mutually exclusive", id="roc-tl-and-abs"
+        ),
+        pytest.param(
+            "kdd",
+            KDD_TEXT,
+            LABELING + ["--metric", "mkld", "--theta", "inf"],
+            3,
+            "theta must be a finite positive number",
+            id="theta-inf",
+        ),
+        *(
+            pytest.param(
+                fmt, text, LABELING + ["--max-flows", value], 3, "--max-flows must be at least 1",
+                id=f"{fmt}-max-flows{value}",
+            )
+            for fmt, text in (("csv", csv_text()), ("kdd", KDD_TEXT))
+            for value in ("0", "-1")
+        ),
+    ],
+)
+def test_malformed_input_or_configuration_exits_cleanly_without_output(
+    tmp_path, capsys, fmt, text, flags, code, message
+):
+    path = tmp_path / f"input.{fmt}"
+    path.write_text(text)
+    out = tmp_path / "roc.csv"
+    got = main(["evaluate", "--roc", "--format", fmt, "--window", "2", *flags, str(path), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert (got, "Traceback" in err) == (code, False)
+    prefix = "input error" if code == 2 else "configuration error"
+    assert err.startswith(f"flowdigits: {prefix}:") and message in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, 0.0])
+def test_kld_theta_must_be_finite_and_positive(theta):
+    with pytest.raises(ValueError, match="finite positive"):
+        KldParams(theta=theta)
+
+
+@pytest.mark.parametrize("max_flows", [0, -1])
+def test_adapt_kdd_rejects_max_flows_below_one(max_flows):
+    with pytest.raises(ValueError, match="max_flows must be at least 1"):
+        adapt_kdd(io.StringIO(KDD_TEXT), max_flows=max_flows)

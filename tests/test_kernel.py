@@ -29,6 +29,7 @@ from flowdigits import (
 )
 from flowdigits.detector import _count_scores
 from flowdigits.evaluation import roc_curve
+from flowdigits.ingest import MAX_SIZE
 from flowdigits.similarity import DIVERGENCES
 from oracles import auc_pairwise
 from test_ingest import make_flow
@@ -260,6 +261,30 @@ def test_run_detector_bit_identical_to_brute_force_windows(sizes, w, step, polic
         want, want_valid = ref_scores_from_counts(counts, policy, metric, config.kld)
         assert bits([s.score for s in got]) == bits(want), metric
         assert [s.valid for s in got] == want_valid.tolist()
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.one_of(st.integers(0, 10**12), st.sampled_from([0, 7, 1500])), min_size=2, max_size=80),
+    data=st.data(),
+)
+def test_scaling_every_size_by_a_power_of_ten_keeps_every_score(sizes, data):
+    # |10^k a - 10^k b| = 10^k |a - b| keeps every first digit and keeps zeros zero.
+    w = data.draw(st.integers(2, min(len(sizes), 25)), label="w")
+    k = data.draw(st.integers(1, len(str(MAX_SIZE // max(max(sizes), 1))) - 1), label="k")
+    scaled = [v * 10**k for v in sizes]
+    assert max(scaled) <= MAX_SIZE
+    datasets = [
+        FlowDataset(flows=tuple(make_flow(i, bytes_total=v) for i, v in enumerate(values)), labeled=False)
+        for values in (sizes, scaled)
+    ]
+    for policy in ZeroPolicy:
+        for metric in SimilarityMetric:
+            config = DetectorConfig(window=WindowSpec(w, 1), metric=metric, zero_policy=policy)
+            base, moved = (run_detector(dataset, config) for dataset in datasets)
+            assert bits([s.score for s in moved]) == bits([s.score for s in base]), (policy, metric, k)
+            assert [s.valid for s in moved] == [s.valid for s in base]
 
 
 # -- ROC --------------------------------------------------------------------------
