@@ -60,10 +60,8 @@ def _load_dataset(path: str, fmt: str, max_flows: int | None) -> FlowDataset:
         dataset = parse_tshark_conversations(path, source_name=name)
     else:
         dataset = parse_flow_csv(path, source_name=name)
-    if max_flows is not None and len(dataset.flows) > max_flows:
-        dataset = FlowDataset(
-            flows=dataset.flows[:max_flows], labeled=dataset.labeled, source_name=dataset.source_name
-        )
+    if max_flows is not None and len(dataset) > max_flows:
+        dataset = dataset._take(slice(0, max_flows))
     return dataset
 
 
@@ -135,8 +133,12 @@ def _config_from_args(args, labeling: LabelingRule | None = None) -> DetectorCon
     )
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_list(text: str, convert: Callable, flag: str) -> list:
+    """The values of a comma-separated grid flag; a flag that lists none is a configuration error."""
+    values = [convert(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"{flag} lists no values: {text!r}")
+    return values
 
 
 def _parse_labeling_grid(text: str | None, absolute: bool) -> list[LabelingRule]:
@@ -151,7 +153,7 @@ def _parse_labeling_grid(text: str | None, absolute: bool) -> list[LabelingRule]
         if not chosen:
             raise ValueError(f"no grid values inside {text!r}")
     else:
-        chosen = [convert(part) for part in text.split(",") if part.strip()]
+        chosen = _parse_list(text, convert, "--labeling-abs" if absolute else "--tl")
     return [_labeling_rule(v, absolute) for v in chosen]
 
 
@@ -206,12 +208,13 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     value, absolute = _labeling_from_args(args)
-    base_labeling = None
-    if args.roc:
-        if value is None or "," in value or ".." in value:
-            raise ValueError("--roc needs a single --tl or --labeling-abs value")
-        base_labeling = _labeling_rule(value, absolute)
-    config = _config_from_args(args, base_labeling)
+    if args.roc and (value is None or "," in value or ".." in value):
+        raise ValueError("--roc needs a single --tl or --labeling-abs value")
+    config = _config_from_args(args, _labeling_rule(value, absolute) if args.roc else None)
+    if not args.roc:
+        labeling_grid = _parse_labeling_grid(value, absolute)
+        w_grid = _parse_list(args.windows, int, "--windows")
+        metric_set = _parse_list(args.metrics, lambda m: SimilarityMetric(m.strip()), "--metrics")
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     if not dataset.labeled:
         raise CapabilityError("evaluation requires a labeled dataset")
@@ -224,9 +227,6 @@ def cmd_evaluate(args) -> int:
         print(f"roc over {len(scores)} windows, auc={curve.auc:.9f} -> {output}")
         return 0
 
-    labeling_grid = _parse_labeling_grid(value, absolute)
-    w_grid = _parse_int_list(args.windows)
-    metric_set = [SimilarityMetric(m.strip()) for m in args.metrics.split(",") if m.strip()]
     result = grid_evaluate(
         dataset,
         config,
@@ -251,8 +251,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args, None)
+    w_grid = _parse_list(args.windows, int, "--windows") if args.windows else list(DEFAULT_SWEEP_GRID)
     dataset = _load_dataset(args.input, args.format, args.max_flows)
-    w_grid = _parse_int_list(args.windows) if args.windows else list(DEFAULT_SWEEP_GRID)
     result = window_size_sweep(dataset, config, w_grid, step=args.step)
     output = args.output or "wsweep.csv"
     _write_output(output, lambda h: write_sweep_csv(result, h), "sweep", _config_dict(config), args.input)

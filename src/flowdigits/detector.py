@@ -140,7 +140,7 @@ class OrderedFlows:
 
     def __init__(self, dataset: FlowDataset, config: DetectorConfig):
         self.dataset = order_flows(dataset, config.ordering)
-        self.n_flows = len(self.dataset.flows)
+        self.n_flows = len(self.dataset)
         digits = leading_digits(difference_sequence(size_sequence(self.dataset, config.unit)))
         # Sorted digit * stride + position: the positions of each digit, in
         # order, so window counts are two binary searches per digit.
@@ -151,8 +151,9 @@ class OrderedFlows:
 
     @cached_property
     def _label_cum(self) -> np.ndarray:
-        labels = np.fromiter((f.label for f in self.dataset.flows), dtype=np.int64, count=self.n_flows)
-        return np.concatenate(([0], np.cumsum(labels)))
+        label_cum = np.zeros(self.n_flows + 1, dtype=np.int64)
+        np.cumsum(self.dataset.label, dtype=np.int64, out=label_cum[1:])
+        return label_cum
 
     def digit_counts(self, starts: np.ndarray, length: int) -> np.ndarray:
         """(k, 10) first-digit counts of the differences [start, start + length)."""
@@ -212,7 +213,7 @@ def run_detector(dataset: FlowDataset, config: DetectorConfig) -> list[WindowSco
     the work. Truth fields are filled only when the dataset is labeled and
     the config carries a labeling rule.
     """
-    if len(dataset.flows) < config.window.w:
+    if len(dataset) < config.window.w:
         return []  # nothing to score, so sizes that cannot be read are no error
     starts, scores, valid, truths = window_arrays(OrderedFlows(dataset, config), config)
     w, threshold = config.window.w, config.threshold_t

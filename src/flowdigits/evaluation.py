@@ -197,10 +197,8 @@ def grid_evaluate(
 
 def write_roc_csv(curve: RocCurve, sink: IO[str]) -> None:
     """threshold,fpr,tpr rows with a trailing '# auc=' comment."""
-    sink.write("threshold,fpr,tpr\n")
-    for threshold, fpr, tpr in curve.points:
-        sink.write(f"{threshold!r},{fpr!r},{tpr!r}\n")
-    sink.write(f"# auc={curve.auc!r}\n")
+    rows = "".join(f"{threshold!r},{fpr!r},{tpr!r}\n" for threshold, fpr, tpr in curve.points)
+    sink.write(f"threshold,fpr,tpr\n{rows}# auc={curve.auc!r}\n")
 
 
 def write_sweep_csv(result: SweepResult, sink: IO[str]) -> None:

@@ -3,8 +3,32 @@
 Three input formats produce the same in-memory dataset: the canonical flow
 CSV (this package's interchange format), the plain-text TCP conversation
 table printed by ``tshark -r <pcap> -q -z conv,tcp``, and KDD Cup 1999
-connection records. Parsing is single-pass streaming; the resulting dataset
-and its records are immutable and safe to share between threads.
+connection records. Parsing is single-pass streaming and converts rows to
+arrays a chunk at a time.
+
+A dataset is a columnar flow table: one numpy array per flow field, where
+row i describes the i-th flow in dataset order.
+
+============== ======= ===============================================
+column         dtype   meaning
+============== ======= ===============================================
+bytes_total    int64   flow size in bytes
+packets_total  int64   packet count, 0 where ``has_packets`` is False
+has_packets    bool    whether the source reported a packet count
+rel_start      float64 seconds since the start of the capture
+duration       float64 seconds
+label          int8    1 malicious, 0 normal, -1 unknown
+src_port       int32
+dst_port       int32
+seq_no         int64   position in the raw log; breaks ordering ties
+src_code       int32   index into ``addresses``
+dst_code       int32   index into ``addresses``
+============== ======= ===============================================
+
+``addresses`` is a tuple of the distinct endpoint strings. The arrays are
+read-only, so a dataset is immutable and safe to share between threads.
+``dataset.flows`` is the same table as a tuple of ``FlowRecord``; it is
+built on first read and cached, and scoring never reads it.
 """
 
 from __future__ import annotations
@@ -14,11 +38,17 @@ import gzip
 import io
 import ipaddress
 import math
+import re
+import socket
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import FormatError, ParseError
 
@@ -71,22 +101,246 @@ class OrderingScheme(Enum):
     FIVE_TUPLE_START = "five-tuple-start"
 
 
-@dataclass(frozen=True)
-class FlowDataset:
-    flows: tuple[FlowRecord, ...]
-    labeled: bool
-    source_name: str = ""
+#: The columns of a dataset and their dtypes; see the module docstring.
+_COLUMN_TYPES = {
+    "bytes_total": np.int64,
+    "packets_total": np.int64,
+    "has_packets": np.bool_,
+    "rel_start": np.float64,
+    "duration": np.float64,
+    "label": np.int8,
+    "src_port": np.int32,
+    "dst_port": np.int32,
+    "seq_no": np.int64,
+    "src_code": np.int32,
+    "dst_code": np.int32,
+}
 
-    def __post_init__(self):
-        if self.labeled and any(f.label is None for f in self.flows):
+
+class FlowDataset:
+    """A columnar flow table (see the module docstring), labeled or not.
+
+    ``FlowDataset(flows, labeled, source_name)`` builds the columns from
+    FlowRecords and keeps their seq_nos; parsers and the generator fill the
+    columns directly.
+    """
+
+    bytes_total: np.ndarray
+    packets_total: np.ndarray
+    has_packets: np.ndarray
+    rel_start: np.ndarray
+    duration: np.ndarray
+    label: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    seq_no: np.ndarray
+    src_code: np.ndarray
+    dst_code: np.ndarray
+
+    def __init__(self, flows: Iterable[FlowRecord], labeled: bool, source_name: str = ""):
+        flows = tuple(flows)
+        table = _TableBuilder()
+        if flows:
+            table.add_values(*zip(*map(attrgetter(*FlowRecord.__slots__), flows)))
+        self._assign(*table.columns(), labeled, source_name)
+        self._flows = flows
+
+    @classmethod
+    def _from_columns(
+        cls, columns: dict[str, np.ndarray], addresses: tuple[str, ...], labeled: bool, source_name: str
+    ) -> FlowDataset:
+        dataset = cls.__new__(cls)
+        dataset._assign(columns, addresses, labeled, source_name)
+        dataset._flows = None
+        return dataset
+
+    def _assign(self, columns: dict[str, np.ndarray], addresses: tuple[str, ...], labeled: bool, source_name: str):
+        for name, values in columns.items():
+            values.flags.writeable = False
+            setattr(self, name, values)
+        self.addresses = addresses
+        self.labeled = labeled
+        self.source_name = source_name
+        if labeled and (self.label < 0).any():
             raise ValueError("labeled dataset contains a flow without a label")
 
+    def _take(self, rows: slice | np.ndarray) -> FlowDataset:
+        """The flows at ``rows`` (a slice or an index array) as a dataset sharing the address table."""
+        columns = {name: getattr(self, name)[rows] for name in _COLUMN_TYPES}
+        return FlowDataset._from_columns(columns, self.addresses, self.labeled, self.source_name)
+
+    @property
+    def flows(self) -> tuple[FlowRecord, ...]:
+        """The flows as records, in dataset order; built on first read."""
+        if self._flows is None:
+            self._flows = self._records()
+        return self._flows
+
+    def _records(self) -> tuple[FlowRecord, ...]:
+        address = self.addresses.__getitem__
+        packets = self.packets_total.tolist()
+        if not self.has_packets.all():
+            packets = [p if has else None for p, has in zip(packets, self.has_packets.tolist())]
+        return tuple(
+            map(
+                FlowRecord,
+                map(address, self.src_code.tolist()),
+                self.src_port.tolist(),
+                map(address, self.dst_code.tolist()),
+                self.dst_port.tolist(),
+                packets,
+                self.bytes_total.tolist(),
+                self.rel_start.tolist(),
+                self.duration.tolist(),
+                [None if v < 0 else v for v in self.label.tolist()],
+                self.seq_no.tolist(),
+            )
+        )
+
     def __len__(self) -> int:
-        return len(self.flows)
+        return len(self.seq_no)
+
+    def __repr__(self) -> str:
+        return f"FlowDataset(<{len(self)} flows>, labeled={self.labeled}, source_name={self.source_name!r})"
 
 
 #: Largest flow size the scoring arrays (int64) can hold.
 MAX_SIZE = 2**63 - 1
+
+#: Rows converted to arrays at a time while parsing.
+_CHUNK_ROWS = 1024
+
+#: Strict dotted-quad IPv4, exactly as ``ipaddress`` accepts it: four ASCII
+#: decimal octets up to 255, without leading zeros.
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4 = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}\Z")
+
+
+def _is_address(text: str) -> bool:
+    """Whether ``ipaddress.ip_address`` accepts text; dotted-quad IPv4 skips it."""
+    if _IPV4.match(text):
+        return True
+    try:
+        ipaddress.ip_address(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _address_key(text: str) -> bytes:
+    """Sort key of an endpoint: packed address bytes, or 0xff + UTF-8 for a hostname."""
+    if _IPV4.match(text):
+        return socket.inet_aton(text)
+    try:
+        return ipaddress.ip_address(text).packed
+    except ValueError:
+        # tshark may emit resolved hostnames; fall back to a stable byte
+        # form so the order stays total and deterministic.
+        return b"\xff" + text.encode("utf-8", "surrogateescape")
+
+
+def _address_ranks(addresses: Sequence[str]) -> np.ndarray:
+    """Dense rank of each address's sort key; different strings with equal keys tie."""
+    keys = [_address_key(text) for text in addresses]
+    if all(len(key) == 4 for key in keys):
+        # IPv4 only: the keys are big-endian 32-bit numbers.
+        return np.unique(np.frombuffer(b"".join(keys), dtype=">u4"), return_inverse=True)[1]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranked = [keys[i] for i in order]
+    ranks = np.zeros(len(keys), dtype=np.int64)
+    ranks[order[1:]] = np.cumsum([a != b for a, b in zip(ranked, ranked[1:])])
+    return ranks
+
+
+class _TableBuilder:
+    """Collects flow columns a chunk at a time, with one code per distinct address."""
+
+    def __init__(self):
+        self._chunks: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMN_TYPES}
+        self._index: dict[str, int] = {}
+        self.n_rows = 0
+
+    def codes(self, addresses: Iterable[str], validate: bool) -> np.ndarray | None:
+        """Codes of the addresses, adding new strings to the table with the next free code.
+
+        With ``validate``, returns None on the first new string that is not an
+        IP address, so each distinct string is checked once.
+        """
+        index = self._index
+        codes = []
+        for text in addresses:
+            code = index.get(text)
+            if code is None:
+                if validate and not _is_address(text):
+                    return None
+                code = index[text] = len(index)
+            codes.append(code)
+        return np.array(codes, dtype=np.int32)
+
+    def add(self, **columns) -> None:
+        """Append one chunk of rows; seq_no defaults to the rows' positions."""
+        n = len(columns["bytes_total"])
+        columns.setdefault("seq_no", np.arange(self.n_rows, self.n_rows + n))
+        for name, dtype in _COLUMN_TYPES.items():
+            self._chunks[name].append(np.asarray(columns[name], dtype=dtype))
+        self.n_rows += n
+
+    def add_values(
+        self, src_ip, src_port, dst_ip, dst_port, packets_total, bytes_total, rel_start, duration, label, seq_no=None
+    ) -> None:
+        """Append rows given as sequences of FlowRecord field values (None: absent)."""
+        columns = dict(
+            src_code=self.codes(src_ip, validate=False),
+            src_port=src_port,
+            dst_code=self.codes(dst_ip, validate=False),
+            dst_port=dst_port,
+            packets_total=[0 if p is None else p for p in packets_total],
+            has_packets=[p is not None for p in packets_total],
+            bytes_total=bytes_total,
+            rel_start=rel_start,
+            duration=duration,
+            label=[-1 if v is None else v for v in label],
+        )
+        if seq_no is not None:
+            columns["seq_no"] = seq_no
+        self.add(**columns)
+
+    def columns(self) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
+        """(columns, address table); each column is joined and its chunks freed in turn."""
+        columns = {}
+        for name, dtype in _COLUMN_TYPES.items():
+            chunks = self._chunks[name]
+            columns[name] = np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
+            chunks.clear()
+        return columns, tuple(self._index)
+
+    def dataset(self, labeled: bool | None, source_name: str) -> FlowDataset:
+        """The collected flows; ``labeled=None`` means labeled iff every flow has a label."""
+        columns, addresses = self.columns()
+        if labeled is None:
+            labeled = bool((columns["label"] >= 0).all())
+        return FlowDataset._from_columns(columns, addresses, labeled, source_name)
+
+
+def _convert_in_chunks(rows: Iterable[tuple[object, int]], convert: Callable[[list, list[int]], None]) -> None:
+    """Hand (row, line number) pairs to convert(rows, lines) a chunk at a time.
+
+    The rows still buffered are converted also when ``rows`` raises. A bad
+    row read before the failing line then raises first, as it would if every
+    row were converted as soon as it was read.
+    """
+    chunk: list = []
+    lines: list[int] = []
+    try:
+        for row, line in rows:
+            chunk.append(row)
+            lines.append(line)
+            if len(chunk) == _CHUNK_ROWS:
+                full, (chunk, lines) = (chunk, lines), ([], [])
+                convert(*full)
+    finally:
+        if chunk:
+            convert(chunk, lines)
 
 
 @contextmanager
@@ -140,11 +394,94 @@ def _float_field(text: str, name: str, line: int) -> float:
 
 
 def _address_field(text: str, name: str, line: int) -> str:
-    try:
-        ipaddress.ip_address(text)
-    except ValueError:
-        raise ParseError(f"field {name} is not an IP address: {text!r}", line) from None
+    if not _is_address(text):
+        raise ParseError(f"field {name} is not an IP address: {text!r}", line)
     return text
+
+
+def _ints(cells: Sequence[str]) -> np.ndarray:
+    """``int()`` of every cell as int64; ValueError or OverflowError if one does not fit."""
+    return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+
+
+def _floats(cells: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+
+
+def _optional_ints(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(values, present) of integer cells where a blank cell means absent."""
+    try:
+        return _ints(cells), np.ones(len(cells), dtype=bool)
+    except ValueError:
+        present = np.array([cell.strip() != "" for cell in cells], dtype=bool)
+        values = np.zeros(len(cells), dtype=np.int64)
+        values[present] = _ints([cell for cell, has in zip(cells, present.tolist()) if has])
+        return values, present
+
+
+def _times_ok(values: np.ndarray) -> bool:
+    return bool(((values >= 0.0) & np.isfinite(values)).all())
+
+
+_LABEL_CELLS = {"0": 0, "1": 1}
+
+
+def _csv_row(row: list[str], line: int, has_label: bool) -> tuple:
+    """One CSV row's FlowRecord field values, or the ParseError of its first bad field."""
+    src_ip = _address_field(row[0].strip(), "src_ip", line)
+    src_port = _int_field(row[1], "src_port", line, 0, 65535)
+    dst_ip = _address_field(row[2].strip(), "dst_ip", line)
+    dst_port = _int_field(row[3], "dst_port", line, 0, 65535)
+    packets = None if row[4].strip() == "" else _int_field(row[4], "packets_total", line, 0, MAX_SIZE)
+    bytes_total = _int_field(row[5], "bytes_total", line, 0, MAX_SIZE)
+    if packets is not None and packets >= 1 and bytes_total < 1:
+        raise ParseError("flow with packets but zero bytes", line)
+    rel_start = _float_field(row[6], "rel_start_s", line)
+    duration = _float_field(row[7], "duration_s", line)
+    label = _LABEL_CELLS.get(row[8].strip()) if has_label else None
+    return src_ip, src_port, dst_ip, dst_port, packets, bytes_total, rel_start, duration, label
+
+
+def _csv_chunk(table: _TableBuilder, has_label: bool, rows: list[list[str]], lines: list[int]) -> None:
+    """Convert CSV rows column-wise; if any check fails, row by row, which raises at the first bad row."""
+    cells = list(zip(*rows))
+    try:
+        src = table.codes([text.strip() for text in cells[0]], validate=True)
+        dst = table.codes([text.strip() for text in cells[2]], validate=True)
+        src_port, dst_port, bytes_total = _ints(cells[1]), _ints(cells[3]), _ints(cells[5])
+        packets, has_packets = _optional_ints(cells[4])
+        rel_start, duration = _floats(cells[6]), _floats(cells[7])
+    except (ValueError, OverflowError):
+        valid = False
+    else:
+        valid = (
+            src is not None
+            and dst is not None
+            and bool(((src_port >= 0) & (src_port <= 65535) & (dst_port >= 0) & (dst_port <= 65535)).all())
+            and bool(((packets >= 0) & (bytes_total >= 0)).all())
+            and not (has_packets & (packets >= 1) & (bytes_total < 1)).any()
+            and _times_ok(rel_start)
+            and _times_ok(duration)
+        )
+    if not valid:
+        table.add_values(*zip(*(_csv_row(row, line, has_label) for row, line in zip(rows, lines))))
+        return
+    if has_label:
+        label = [_LABEL_CELLS.get(text.strip(), -1) for text in cells[8]]
+    else:
+        label = np.full(len(rows), -1)
+    table.add(
+        src_code=src,
+        src_port=src_port,
+        dst_code=dst,
+        dst_port=dst_port,
+        packets_total=packets,
+        has_packets=has_packets,
+        bytes_total=bytes_total,
+        rel_start=rel_start,
+        duration=duration,
+        label=label,
+    )
 
 
 def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDataset:
@@ -169,43 +506,18 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
         if has_label and header[-1] != CSV_LABEL_COLUMN:
             raise FormatError(f"unexpected header: {','.join(header)!r}")
 
-        flows: list[FlowRecord] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
-            src_ip = _address_field(row[0].strip(), "src_ip", lineno)
-            src_port = _int_field(row[1], "src_port", lineno, 0, 65535)
-            dst_ip = _address_field(row[2].strip(), "dst_ip", lineno)
-            dst_port = _int_field(row[3], "dst_port", lineno, 0, 65535)
-            packets = None if row[4].strip() == "" else _int_field(row[4], "packets_total", lineno, 0, MAX_SIZE)
-            bytes_total = _int_field(row[5], "bytes_total", lineno, 0, MAX_SIZE)
-            if packets is not None and packets >= 1 and bytes_total < 1:
-                raise ParseError("flow with packets but zero bytes", lineno)
-            rel_start = _float_field(row[6], "rel_start_s", lineno)
-            duration = _float_field(row[7], "duration_s", lineno)
-            label: int | None = None
-            if has_label:
-                cell = row[8].strip()
-                label = int(cell) if cell in ("0", "1") else None
-            flows.append(
-                FlowRecord(
-                    src_ip=src_ip,
-                    src_port=src_port,
-                    dst_ip=dst_ip,
-                    dst_port=dst_port,
-                    packets_total=packets,
-                    bytes_total=bytes_total,
-                    rel_start=rel_start,
-                    duration=duration,
-                    label=label,
-                    seq_no=len(flows),
-                )
-            )
+        table = _TableBuilder()
+        _convert_in_chunks(_csv_rows(reader, len(header)), partial(_csv_chunk, table, has_label))
+    return table.dataset(labeled=None, source_name=source_name)
 
-    labeled = all(f.label is not None for f in flows)
-    return FlowDataset(flows=tuple(flows), labeled=labeled, source_name=source_name)
+
+def _csv_rows(reader: Iterator[list[str]], width: int) -> Iterator[tuple[list[str], int]]:
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"expected {width} fields, got {len(row)}", lineno)
+        yield row, lineno
 
 
 def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
@@ -217,23 +529,28 @@ def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
         stream, owns = sink, False
     try:
         writer = csv.writer(stream, lineterminator="\n")
-        with_label = dataset.labeled or any(f.label is not None for f in dataset.flows)
+        with_label = dataset.labeled or bool((dataset.label >= 0).any())
         header = CSV_COLUMNS + ((CSV_LABEL_COLUMN,) if with_label else ())
         writer.writerow(header)
-        for f in dataset.flows:
-            row = [
-                f.src_ip,
-                f.src_port,
-                f.dst_ip,
-                f.dst_port,
-                "" if f.packets_total is None else f.packets_total,
-                f.bytes_total,
-                repr(f.rel_start),
-                repr(f.duration),
+        address = dataset.addresses.__getitem__
+        for lo in range(0, len(dataset), _CHUNK_ROWS):
+            part = dataset._take(slice(lo, lo + _CHUNK_ROWS))
+            packets = part.packets_total.tolist()
+            if not part.has_packets.all():
+                packets = [p if has else "" for p, has in zip(packets, part.has_packets.tolist())]
+            columns = [
+                map(address, part.src_code.tolist()),
+                part.src_port.tolist(),
+                map(address, part.dst_code.tolist()),
+                part.dst_port.tolist(),
+                packets,
+                part.bytes_total.tolist(),
+                map(repr, part.rel_start.tolist()),
+                map(repr, part.duration.tolist()),
             ]
             if with_label:
-                row.append("" if f.label is None else f.label)
-            writer.writerow(row)
+                columns.append(["" if v < 0 else v for v in part.label.tolist()])
+            writer.writerows(zip(*columns))
     finally:
         if owns:
             stream.close()
@@ -253,9 +570,12 @@ def _split_endpoint(token: str, line: int) -> tuple[str, int]:
         raise ParseError(f"endpoint without port: {token!r}", line)
     addr = addr.strip("[]")
     try:
-        return addr, int(port)
+        value = int(port)
     except ValueError:
         raise ParseError(f"endpoint with non-numeric port: {token!r}", line) from None
+    if not 0 <= value <= 65535:
+        raise ParseError(f"endpoint port out of range 0..65535: {token!r}", line)
+    return addr, value
 
 
 def parse_tshark_conversations(source: str | Path | IO, source_name: str = "") -> FlowDataset:
@@ -265,75 +585,70 @@ def parse_tshark_conversations(source: str | Path | IO, source_name: str = "") -
     and bytes for each direction and in total, then relative start and
     duration. Depending on the tshark version, byte columns are either plain
     integers or values with an SI suffix ("56 kB" means 56000); both forms
-    are accepted, as are thousands separators. Flows come out unlabeled.
+    are accepted, as are thousands separators. Endpoint ports must be in
+    0..65535, as in the flow CSV. Flows come out unlabeled.
     """
-    flows: list[FlowRecord] = []
-    saw_table = False
+    table = _TableBuilder()
     with _open_text(source) as stream:
-        for lineno, line in _iter_lines(stream):
-            text = line.strip()
-            if not text:
-                continue
-            if "<->" not in text:
-                if "Conversations" in text:
-                    saw_table = True
-                continue
-            if not saw_table:
-                raise FormatError("conversation line before any table header", lineno)
+        # Lines are checked as they are read; chunks become columns with no label.
+        _convert_in_chunks(
+            _tshark_rows(stream), lambda rows, lines: table.add_values(*zip(*rows), [None] * len(rows))
+        )
+    return table.dataset(labeled=False, source_name=source_name)
 
-            tokens = text.split()
-            if len(tokens) < 3 or tokens[1] != "<->":
-                raise ParseError(f"unrecognized conversation line: {text!r}", lineno)
-            src_ip, src_port = _split_endpoint(tokens[0], lineno)
-            dst_ip, dst_port = _split_endpoint(tokens[2], lineno)
 
-            tail = tokens[3:]
-            counts: list[int] = []
-            i = 0
-            while len(counts) < 6:
-                if i >= len(tail):
-                    raise ParseError("conversation line has too few numeric fields", lineno)
-                token = tail[i]
-                try:
-                    value = float(token.replace(",", ""))
-                except ValueError:
-                    raise ParseError(f"unparseable numeric token {token!r}", lineno) from None
-                if i + 1 < len(tail) and not _looks_numeric(tail[i + 1]):
-                    suffix = tail[i + 1]
-                    if suffix not in _BYTE_SUFFIXES:
-                        raise ParseError(f"unknown unit suffix {suffix!r}", lineno)
-                    value *= _BYTE_SUFFIXES[suffix]
-                    i += 1
-                if value < 0:
-                    raise ParseError(f"negative count {token!r}", lineno)
-                if not value <= MAX_SIZE:
-                    raise ParseError(f"count {token!r} is not a finite number up to {MAX_SIZE}", lineno)
-                counts.append(int(round(value)))
+def _tshark_rows(stream: IO[str]) -> Iterator[tuple[tuple, int]]:
+    """(src_ip, src_port, dst_ip, dst_port, packets, bytes, rel_start, duration) per conversation line."""
+    saw_table = False
+    for lineno, line in _iter_lines(stream):
+        text = line.strip()
+        if not text:
+            continue
+        if "<->" not in text:
+            if "Conversations" in text:
+                saw_table = True
+            continue
+        if not saw_table:
+            raise FormatError("conversation line before any table header", lineno)
+
+        tokens = text.split()
+        if len(tokens) < 3 or tokens[1] != "<->":
+            raise ParseError(f"unrecognized conversation line: {text!r}", lineno)
+        src_ip, src_port = _split_endpoint(tokens[0], lineno)
+        dst_ip, dst_port = _split_endpoint(tokens[2], lineno)
+
+        tail = tokens[3:]
+        counts: list[int] = []
+        i = 0
+        while len(counts) < 6:
+            if i >= len(tail):
+                raise ParseError("conversation line has too few numeric fields", lineno)
+            token = tail[i]
+            try:
+                value = float(token.replace(",", ""))
+            except ValueError:
+                raise ParseError(f"unparseable numeric token {token!r}", lineno) from None
+            if i + 1 < len(tail) and not _looks_numeric(tail[i + 1]):
+                suffix = tail[i + 1]
+                if suffix not in _BYTE_SUFFIXES:
+                    raise ParseError(f"unknown unit suffix {suffix!r}", lineno)
+                value *= _BYTE_SUFFIXES[suffix]
                 i += 1
-            if len(tail) - i != 2:
-                raise ParseError(
-                    f"expected relative start and duration, got {tail[i:]!r}", lineno
-                )
-            rel_start = _float_field(tail[i], "relative start", lineno)
-            duration = _float_field(tail[i + 1], "duration", lineno)
-
-            flows.append(
-                FlowRecord(
-                    src_ip=src_ip,
-                    src_port=src_port,
-                    dst_ip=dst_ip,
-                    dst_port=dst_port,
-                    packets_total=counts[4],
-                    bytes_total=counts[5],
-                    rel_start=rel_start,
-                    duration=duration,
-                    label=None,
-                    seq_no=len(flows),
-                )
+            if value < 0:
+                raise ParseError(f"negative count {token!r}", lineno)
+            if not value <= MAX_SIZE:
+                raise ParseError(f"count {token!r} is not a finite number up to {MAX_SIZE}", lineno)
+            counts.append(int(round(value)))
+            i += 1
+        if len(tail) - i != 2:
+            raise ParseError(
+                f"expected relative start and duration, got {tail[i:]!r}", lineno
             )
+        rel_start = _float_field(tail[i], "relative start", lineno)
+        duration = _float_field(tail[i + 1], "duration", lineno)
+        yield (src_ip, src_port, dst_ip, dst_port, counts[4], counts[5], rel_start, duration), lineno
     if not saw_table:
         raise FormatError("no conversations table found in input")
-    return FlowDataset(flows=tuple(flows), labeled=False, source_name=source_name)
 
 
 def _looks_numeric(token: str) -> bool:
@@ -342,6 +657,38 @@ def _looks_numeric(token: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def _kdd_size(src_text: str, dst_text: str, line: int) -> int:
+    src_bytes = _int_field(src_text.strip(), "src_bytes", line)
+    dst_bytes = _int_field(dst_text.strip(), "dst_bytes", line)
+    if src_bytes + dst_bytes > MAX_SIZE:
+        raise ParseError(f"src_bytes + dst_bytes exceeds {MAX_SIZE}", line)
+    return src_bytes + dst_bytes
+
+
+def _kdd_chunk(table: _TableBuilder, rows: list[tuple[str, str, str]], lines: list[int]) -> None:
+    """Convert KDD (src_bytes, dst_bytes, class) cells; if a check fails, row by row."""
+    src_text, dst_text, classes = zip(*rows)
+    try:
+        src, dst = _ints([t.strip() for t in src_text]), _ints([t.strip() for t in dst_text])
+        valid = bool((src >= 0).all() and (dst >= 0).all() and (src <= MAX_SIZE - dst).all())
+    except (ValueError, OverflowError):
+        valid = False
+    sizes = src + dst if valid else [_kdd_size(s, d, line) for (s, d, _), line in zip(rows, lines)]
+    zeros = np.zeros(len(rows), dtype=np.int64)
+    table.add(
+        src_code=zeros,  # the placeholder endpoint, address code 0
+        src_port=zeros,
+        dst_code=zeros,
+        dst_port=zeros,
+        packets_total=zeros,
+        has_packets=zeros,
+        bytes_total=sizes,
+        rel_start=np.arange(table.n_rows, table.n_rows + len(rows)),
+        duration=zeros,
+        label=[cls.strip().rstrip(".") != "normal" for cls in classes],
+    )
 
 
 def adapt_kdd(
@@ -361,52 +708,27 @@ def adapt_kdd(
     """
     if max_flows is not None and max_flows < 1:
         raise ValueError(f"max_flows must be at least 1, got {max_flows}")
-    flows: list[FlowRecord] = []
+    table = _TableBuilder()
+    table.codes(["0.0.0.0"], validate=False)
     with _open_text(source) as stream:
-        reader = csv.reader(stream)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) < 42:
-                raise ParseError(f"expected at least 42 fields, got {len(row)}", lineno)
-            if row[1].strip().lower() != "tcp":
-                continue
-            src_bytes = _int_field(row[4].strip(), "src_bytes", lineno)
-            dst_bytes = _int_field(row[5].strip(), "dst_bytes", lineno)
-            if src_bytes + dst_bytes > MAX_SIZE:
-                raise ParseError(f"src_bytes + dst_bytes exceeds {MAX_SIZE}", lineno)
-            cls = row[-1].strip().rstrip(".")
-            seq = len(flows)
-            flows.append(
-                FlowRecord(
-                    src_ip="0.0.0.0",
-                    src_port=0,
-                    dst_ip="0.0.0.0",
-                    dst_port=0,
-                    packets_total=None,
-                    bytes_total=src_bytes + dst_bytes,
-                    rel_start=float(seq),
-                    duration=0.0,
-                    label=0 if cls == "normal" else 1,
-                    seq_no=seq,
-                )
-            )
-            if max_flows is not None and len(flows) >= max_flows:
-                break
-    return FlowDataset(flows=tuple(flows), labeled=True, source_name=source_name)
+        _convert_in_chunks(_kdd_rows(csv.reader(stream), max_flows), partial(_kdd_chunk, table))
+    return table.dataset(labeled=True, source_name=source_name)
 
 
-def _ip_sort_key(cache: dict[str, bytes], text: str) -> bytes:
-    key = cache.get(text)
-    if key is None:
-        try:
-            key = ipaddress.ip_address(text).packed
-        except ValueError:
-            # tshark may emit resolved hostnames; fall back to a stable
-            # byte form so the order stays total and deterministic.
-            key = b"\xff" + text.encode("utf-8", "surrogateescape")
-        cache[text] = key
-    return key
+def _kdd_rows(reader: Iterator[list[str]], max_flows: int | None) -> Iterator[tuple[tuple[str, str, str], int]]:
+    """(src_bytes, dst_bytes, class) cells of the TCP rows, up to max_flows of them."""
+    kept = 0
+    for lineno, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if len(row) < 42:
+            raise ParseError(f"expected at least 42 fields, got {len(row)}", lineno)
+        if row[1].strip().lower() != "tcp":
+            continue
+        yield (row[4], row[5], row[-1]), lineno
+        kept += 1
+        if kept == max_flows:
+            return
 
 
 def order_flows(dataset: FlowDataset, scheme: OrderingScheme) -> FlowDataset:
@@ -416,29 +738,17 @@ def order_flows(dataset: FlowDataset, scheme: OrderingScheme) -> FlowDataset:
     byte form, ports numerically. Flows with equal keys keep their raw-log
     order (ascending seq_no), which also makes the operation idempotent.
     """
-    cache: dict[str, bytes] = {}
-
     if scheme is OrderingScheme.START_END:
-        def key(f: FlowRecord):
-            return (f.rel_start, f.rel_end, f.seq_no)
+        keys = (dataset.rel_start, dataset.rel_start + dataset.duration)
     elif scheme is OrderingScheme.END_START:
-        def key(f: FlowRecord):
-            return (f.rel_end, f.rel_start, f.seq_no)
+        keys = (dataset.rel_start + dataset.duration, dataset.rel_start)
     elif scheme is OrderingScheme.SRC_DST_START:
-        def key(f: FlowRecord):
-            return (_ip_sort_key(cache, f.src_ip), _ip_sort_key(cache, f.dst_ip), f.rel_start, f.seq_no)
+        ranks = _address_ranks(dataset.addresses)
+        keys = (ranks[dataset.src_code], ranks[dataset.dst_code], dataset.rel_start)
     elif scheme is OrderingScheme.FIVE_TUPLE_START:
-        def key(f: FlowRecord):
-            return (
-                _ip_sort_key(cache, f.src_ip),
-                f.src_port,
-                _ip_sort_key(cache, f.dst_ip),
-                f.dst_port,
-                f.rel_start,
-                f.seq_no,
-            )
+        ranks = _address_ranks(dataset.addresses)
+        keys = (ranks[dataset.src_code], dataset.src_port, ranks[dataset.dst_code], dataset.dst_port, dataset.rel_start)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown ordering scheme: {scheme!r}")
-
-    ordered = tuple(sorted(dataset.flows, key=key))
-    return replace(dataset, flows=ordered)
+    # lexsort is stable and takes its primary key last.
+    return dataset._take(np.lexsort((dataset.seq_no,) + keys[::-1]))

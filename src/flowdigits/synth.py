@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .ingest import FlowDataset, FlowRecord
+from .ingest import FlowDataset
 
 #: Fixed nominal packet size (bytes) used to derive packet counts.
 NOMINAL_PACKET_BYTES = 500
@@ -130,7 +130,7 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
     total = spec.total_flows
 
     sizes = np.empty(total, dtype=np.int64)
-    labels = np.zeros(total, dtype=np.int64)
+    labels = np.zeros(total, dtype=np.int8)
     burst_mask = np.zeros(total, dtype=bool)
     for burst in sorted(spec.attacks, key=lambda b: b.start_index):
         burst_mask[burst.start_index : burst.start_index + burst.length] = True
@@ -149,45 +149,41 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
     dst_ports = rng.integers(1, 65536, size=total, dtype=np.int64)
 
     # One fixed target endpoint per burst: scripted traffic hammers a single
-    # destination while sources stay random.
-    burst_targets = {}
+    # destination while sources stay random. Addresses are IPv4 numbers
+    # until the distinct ones are formatted.
+    src_ips = _ipv4(10, src_octets[:, 0], src_octets[:, 1], src_octets[:, 2])
+    dst_ips = _ipv4(192, 168, dst_octets[:, 0], dst_octets[:, 1])
     for burst in sorted(spec.attacks, key=lambda b: b.start_index):
         target = rng.integers(0, 256, size=2)
-        port = int(rng.integers(1, 65536))
-        burst_targets[burst.start_index] = (f"172.16.{target[0]}.{target[1]}", port)
+        span = slice(burst.start_index, burst.start_index + burst.length)
+        dst_ips[span] = _ipv4(172, 16, int(target[0]), int(target[1]))
+        dst_ports[span] = int(rng.integers(1, 65536))
 
-    flows = []
-    burst_ends = {b.start_index: b.start_index + b.length for b in spec.attacks}
-    active_target: tuple[str, int] | None = None
-    active_end = -1
-    for i in range(total):
-        if i in burst_ends:
-            active_target = burst_targets[i]
-            active_end = burst_ends[i]
-        if active_target is not None and i < active_end:
-            dst_ip, dst_port = active_target
-        else:
-            dst_ip = f"192.168.{dst_octets[i, 0]}.{dst_octets[i, 1]}"
-            dst_port = int(dst_ports[i])
-        flows.append(
-            FlowRecord(
-                src_ip=f"10.{src_octets[i, 0]}.{src_octets[i, 1]}.{src_octets[i, 2]}",
-                src_port=int(src_ports[i]),
-                dst_ip=dst_ip,
-                dst_port=dst_port,
-                packets_total=int(packets[i]),
-                bytes_total=int(sizes[i]),
-                rel_start=i * START_SPACING_S,
-                duration=float(durations[i]),
-                label=int(labels[i]),
-                seq_no=i,
-            )
-        )
-    return FlowDataset(
-        flows=tuple(flows),
+    distinct, codes = np.unique(np.concatenate((src_ips, dst_ips)), return_inverse=True)
+    octets = [(distinct >> shift & 255).tolist() for shift in (24, 16, 8, 0)]
+    return FlowDataset._from_columns(
+        {
+            "bytes_total": sizes,
+            "packets_total": packets,
+            "has_packets": np.ones(total, dtype=bool),
+            "rel_start": np.arange(total) * START_SPACING_S,
+            "duration": durations,
+            "label": labels,
+            "src_port": src_ports.astype(np.int32),
+            "dst_port": dst_ports.astype(np.int32),
+            "seq_no": np.arange(total, dtype=np.int64),
+            "src_code": codes[:total].astype(np.int32),
+            "dst_code": codes[total:].astype(np.int32),
+        },
+        tuple(f"{a}.{b}.{c}.{d}" for a, b, c, d in zip(*octets)),
         labeled=True,
         source_name=f"synthetic(seed={spec.seed})",
     )
+
+
+def _ipv4(a, b, c, d):
+    """The IPv4 address a.b.c.d as a number; octets are ints or int64 arrays."""
+    return (np.int64(a) << 24) | (np.int64(b) << 16) | (np.int64(c) << 8) | d
 
 
 def describe(spec: GeneratorSpec) -> str:

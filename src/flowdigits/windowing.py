@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CapabilityError
-from .ingest import FlowDataset, FlowRecord
+from .ingest import FlowDataset
 
 
 class SizeUnit(Enum):
@@ -51,21 +50,20 @@ class WindowIndex:
     end: int
 
 
-def _sizes(flows: Sequence[FlowRecord], unit: SizeUnit, source_name: str) -> np.ndarray:
-    """Sizes of flows in order, as an int64 array; packet counts must all be present."""
+def _sizes(dataset: FlowDataset, unit: SizeUnit, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Read-only int64 view of the sizes of flows [start, stop); packet counts must all be present."""
     if unit is SizeUnit.BYTES:
-        return np.fromiter((f.bytes_total for f in flows), dtype=np.int64, count=len(flows))
-    values = np.empty(len(flows), dtype=np.int64)
-    for i, f in enumerate(flows):
-        if f.packets_total is None:
-            raise CapabilityError(f"dataset {source_name!r} has no packet counts (flow seq_no={f.seq_no})")
-        values[i] = f.packets_total
-    return values
+        return dataset.bytes_total[start:stop]
+    present = dataset.has_packets[start:stop]
+    if not present.all():
+        seq_no = int(dataset.seq_no[start + int(np.argmin(present))])
+        raise CapabilityError(f"dataset {dataset.source_name!r} has no packet counts (flow seq_no={seq_no})")
+    return dataset.packets_total[start:stop]
 
 
 def size_sequence(dataset: FlowDataset, unit: SizeUnit) -> np.ndarray:
-    """Per-flow sizes in dataset order, as an int64 array."""
-    return _sizes(dataset.flows, unit, dataset.source_name)
+    """Per-flow sizes in dataset order, as a read-only int64 array."""
+    return _sizes(dataset, unit)
 
 
 def difference_sequence(sizes) -> np.ndarray:
@@ -88,6 +86,6 @@ def windows(n_flows: int, spec: WindowSpec) -> list[WindowIndex]:
 
 def window_differences(dataset: FlowDataset, unit: SizeUnit, window: WindowIndex) -> np.ndarray:
     """Difference sequence restricted to one window's flows (length w - 1)."""
-    if not (0 <= window.start <= window.end <= len(dataset.flows)):
-        raise ValueError(f"window {window} out of range for {len(dataset.flows)} flows")
-    return difference_sequence(_sizes(dataset.flows[window.start : window.end], unit, dataset.source_name))
+    if not (0 <= window.start <= window.end <= len(dataset)):
+        raise ValueError(f"window {window} out of range for {len(dataset)} flows")
+    return difference_sequence(_sizes(dataset, unit, window.start, window.end))

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from flowdigits import KldParams, ParseError, adapt_kdd, parse_flow_csv, parse_tshark_conversations
-from flowdigits.cli import main
+from flowdigits.cli import DEFAULT_SWEEP_GRID, main
 from test_cli import KDD_ATTACK, KDD_NORMAL, kdd_sample_text
 
 CSV_HEADER = "src_ip,src_port,dst_ip,dst_port,packets_total,bytes_total,rel_start_s,duration_s,label\n"
@@ -191,3 +191,37 @@ def test_kld_theta_must_be_finite_and_positive(theta):
 def test_adapt_kdd_rejects_max_flows_below_one(max_flows):
     with pytest.raises(ValueError, match="max_flows must be at least 1"):
         adapt_kdd(io.StringIO(KDD_TEXT), max_flows=max_flows)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["evaluate", "--metrics", ","], "--metrics lists no values: ','", id="evaluate-metrics"),
+        pytest.param(["evaluate", "--windows", ","], "--windows lists no values: ','", id="evaluate-windows"),
+        pytest.param(["evaluate", "--windows", ""], "--windows lists no values: ''", id="evaluate-windows-blank"),
+        pytest.param(["evaluate", "--tl", ","], "--tl lists no values: ','", id="evaluate-tl"),
+        pytest.param(["evaluate", "--labeling-abs", ","], "--labeling-abs lists no values: ','", id="evaluate-abs"),
+        pytest.param(["sweep", "--windows", ","], "--windows lists no values: ','", id="sweep-windows"),
+    ],
+)
+def test_empty_grid_axis_exits_3_before_reading_input(tmp_path, capsys, argv, message):
+    path = tmp_path / "input.kdd"
+    path.write_text(KDD_TEXT)
+    out = tmp_path / "grid.csv"
+    got = main([argv[0], "--format", "kdd", *argv[1:], str(path), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert (got, "Traceback" in err) == (3, False)
+    assert err == f"flowdigits: configuration error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+    # The axes are checked first: a missing input still gives the configuration error.
+    path.unlink()
+    assert main([argv[0], "--format", "kdd", *argv[1:], str(path), "-o", str(out)]) == 3
+
+
+def test_sweep_bare_windows_flag_means_the_default_grid(tmp_path, capsys):
+    path = tmp_path / "input.kdd"
+    path.write_text(KDD_TEXT)
+    out = tmp_path / "wsweep.csv"
+    with pytest.warns(RuntimeWarning):
+        assert main(["sweep", "--format", "kdd", "--windows", "", str(path), "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + len(DEFAULT_SWEEP_GRID) * 2
