@@ -197,8 +197,9 @@ def grid_evaluate(
 
 def write_roc_csv(curve: RocCurve, sink: IO[str]) -> None:
     """threshold,fpr,tpr rows with a trailing '# auc=' comment."""
-    rows = "".join(f"{threshold!r},{fpr!r},{tpr!r}\n" for threshold, fpr, tpr in curve.points)
-    sink.write(f"threshold,fpr,tpr\n{rows}# auc={curve.auc!r}\n")
+    sink.write("threshold,fpr,tpr\n")
+    sink.writelines(f"{threshold!r},{fpr!r},{tpr!r}\n" for threshold, fpr, tpr in curve.points)
+    sink.write(f"# auc={curve.auc!r}\n")
 
 
 def write_sweep_csv(result: SweepResult, sink: IO[str]) -> None:

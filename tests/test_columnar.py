@@ -11,6 +11,7 @@ import csv
 import io
 import ipaddress
 import math
+import socket
 from unittest import mock
 
 import numpy as np
@@ -461,7 +462,16 @@ def test_address_validation_and_key_match_ipaddress(text):
     assert ingest._is_address(text) == ref_is_address(text)
     assert ingest._address_key(text) == ref_ip_sort_key(text)
     if ingest._IPV4.match(text):
-        assert packed is not None and len(packed) == 4
+        assert socket.inet_aton(text) == packed
+
+
+@pytest.mark.parametrize("addresses", [ADDRESSES, tuple(a for a in ADDRESSES if ingest._IPV4.match(a))])
+def test_address_ranks_order_and_tie_like_packed_keys(addresses):
+    keys = [ref_ip_sort_key(text) for text in addresses]
+    ranks = ingest._address_ranks(addresses).tolist()
+    for i in range(len(keys)):
+        for j in range(len(keys)):
+            assert (ranks[i] < ranks[j], ranks[i] == ranks[j]) == (keys[i] < keys[j], keys[i] == keys[j])
 
 
 @settings(max_examples=500, deadline=None)
@@ -473,8 +483,9 @@ def test_ipv4_fast_path_accepts_exactly_what_ipaddress_accepts(octets):
     except ValueError:
         packed = None
     assert bool(ingest._IPV4.match(text)) == (packed is not None)
+    if packed is not None:
+        assert socket.inet_aton(text) == packed
     assert ingest._is_address(text) == ref_is_address(text)
-    assert ingest._address_key(text) == ref_ip_sort_key(text)
 
 
 # -- ordering property ----------------------------------------------------------------
