@@ -26,7 +26,8 @@ dst_code       int32   index into ``addresses``
 ============== ======= ===============================================
 
 ``addresses`` is a tuple of the distinct endpoint strings. The arrays are
-read-only, so a dataset is immutable and safe to share between threads.
+read-only and nothing changes a dataset once built, so it is safe to share
+between threads.
 ``dataset.flows`` is the same table as a tuple of ``FlowRecord``; it is
 built on first read and cached, and scoring never reads it.
 """
