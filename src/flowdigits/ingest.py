@@ -3,8 +3,10 @@
 Three input formats produce the same in-memory dataset: the canonical flow
 CSV (this package's interchange format), the plain-text TCP conversation
 table printed by ``tshark -r <pcap> -q -z conv,tcp``, and KDD Cup 1999
-connection records. Parsing is single-pass streaming and converts rows to
-arrays a chunk at a time.
+connection records. Parsing is single-pass streaming and appends rows to
+the table a chunk at a time. The flow CSV converts each chunk column-wise;
+tshark and KDD convert and check each row as they read it. Input that is
+not UTF-8, or a CSV cell over the ``csv`` field limit, is a ParseError.
 
 A dataset is a columnar flow table: one numpy array per flow field, where
 row i describes the i-th flow in dataset order.
@@ -140,8 +142,7 @@ class FlowDataset:
     def __init__(self, flows: Iterable[FlowRecord], labeled: bool, source_name: str = ""):
         flows = tuple(flows)
         table = _TableBuilder()
-        if flows:
-            table.add_values(*zip(*map(attrgetter(*FlowRecord.__slots__), flows)))
+        table.add_rows(map(attrgetter(*FlowRecord.__slots__), flows))
         self._assign(*table.columns(), labeled, source_name)
         self._flows = flows
 
@@ -173,29 +174,30 @@ class FlowDataset:
     def flows(self) -> tuple[FlowRecord, ...]:
         """The flows as records, in dataset order; built on first read."""
         if self._flows is None:
-            self._flows = self._records()
+            self._flows = tuple(map(FlowRecord, *self._row_values(slice(None), None), self.seq_no.tolist()))
         return self._flows
 
-    def _records(self) -> tuple[FlowRecord, ...]:
+    def _row_values(self, rows: slice, absent: object) -> list[Iterable]:
+        """FlowRecord field values from src_ip to label of the flows at ``rows``, column by column.
+
+        ``absent`` stands in for a missing packet count or label.
+        """
         address = self.addresses.__getitem__
-        packets = self.packets_total.tolist()
-        if not self.has_packets.all():
-            packets = [p if has else None for p, has in zip(packets, self.has_packets.tolist())]
-        return tuple(
-            map(
-                FlowRecord,
-                map(address, self.src_code.tolist()),
-                self.src_port.tolist(),
-                map(address, self.dst_code.tolist()),
-                self.dst_port.tolist(),
-                packets,
-                self.bytes_total.tolist(),
-                self.rel_start.tolist(),
-                self.duration.tolist(),
-                [None if v < 0 else v for v in self.label.tolist()],
-                self.seq_no.tolist(),
-            )
-        )
+        packets = self.packets_total[rows].tolist()
+        has_packets = self.has_packets[rows]
+        if not has_packets.all():
+            packets = [p if has else absent for p, has in zip(packets, has_packets.tolist())]
+        return [
+            map(address, self.src_code[rows].tolist()),
+            self.src_port[rows].tolist(),
+            map(address, self.dst_code[rows].tolist()),
+            self.dst_port[rows].tolist(),
+            packets,
+            self.bytes_total[rows].tolist(),
+            self.rel_start[rows].tolist(),
+            self.duration[rows].tolist(),
+            [absent if v < 0 else v for v in self.label[rows].tolist()],
+        ]
 
     def __len__(self) -> int:
         return len(self.seq_no)
@@ -307,6 +309,10 @@ class _TableBuilder:
             columns["seq_no"] = seq_no
         self.add(**columns)
 
+    def add_rows(self, rows: Iterable[tuple]) -> None:
+        """Append rows of checked FlowRecord field values (seq_no optional), a chunk at a time."""
+        _in_chunks(rows, lambda chunk: self.add_values(*zip(*chunk)))
+
     def columns(self) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
         """(columns, address table); each column is joined and its chunks freed in turn."""
         columns = {}
@@ -324,25 +330,23 @@ class _TableBuilder:
         return FlowDataset._from_columns(columns, addresses, labeled, source_name)
 
 
-def _convert_in_chunks(rows: Iterable[tuple[object, int]], convert: Callable[[list, list[int]], None]) -> None:
-    """Hand (row, line number) pairs to convert(rows, lines) a chunk at a time.
+def _in_chunks(rows: Iterable, convert: Callable[[list], None]) -> None:
+    """Hand the rows to convert(rows) a chunk at a time.
 
     The rows still buffered are converted also when ``rows`` raises. A bad
     row read before the failing line then raises first, as it would if every
     row were converted as soon as it was read.
     """
     chunk: list = []
-    lines: list[int] = []
     try:
-        for row, line in rows:
+        for row in rows:
             chunk.append(row)
-            lines.append(line)
             if len(chunk) == _CHUNK_ROWS:
-                full, (chunk, lines) = (chunk, lines), ([], [])
-                convert(*full)
+                full, chunk = chunk, []
+                convert(full)
     finally:
         if chunk:
-            convert(chunk, lines)
+            convert(chunk)
 
 
 @contextmanager
@@ -351,26 +355,40 @@ def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
 
     Paths are opened and closed here; paths ending in .gz are decompressed
     transparently. A caller's stream is never closed: a binary one is read
-    through a wrapper that is detached from it afterwards.
+    through a wrapper that is detached from it afterwards. Bytes that are
+    not UTF-8 raise a ParseError with their byte offset, and for ``bytes``
+    input with their line.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        opener = gzip.open if path.suffix == ".gz" else open
-        with opener(path, "rt", encoding="utf-8-sig", newline="") as stream:
+        with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as binary, _open_text(binary) as stream:
             yield stream
     elif isinstance(source, (bytes, bytearray)):
-        yield io.StringIO(source.decode("utf-8-sig"))
+        try:
+            text = source.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            offset = len(source) - len(exc.object) + exc.start
+            raise _undecodable(exc, offset, source.count(b"\n", 0, offset) + 1) from None
+        yield io.StringIO(text)
     elif hasattr(source, "read"):
-        if isinstance(source.read(0), bytes):
-            wrapper = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-            try:
-                yield wrapper
-            finally:
-                wrapper.detach()
-        else:
-            yield source
+        binary = isinstance(source.read(0), bytes)
+        stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="") if binary else source
+        try:
+            yield stream
+        except UnicodeDecodeError as exc:
+            # The wrapper decodes the bytes it last read, which end at the stream's tell().
+            offset = source.tell() - len(exc.object) + exc.start if binary and source.seekable() else None
+            raise _undecodable(exc, offset) from None
+        finally:
+            if binary:
+                stream.detach()
     else:
         raise TypeError(f"unsupported input source: {type(source)!r}")
+
+
+def _undecodable(exc: UnicodeDecodeError, offset: int | None, line: int | None = None) -> ParseError:
+    at = "" if offset is None else f" at byte offset {offset}"
+    return ParseError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x}{at}", line)
 
 
 def _int_field(text: str, name: str, line: int, lo: int = 0, hi: int | None = None) -> int:
@@ -421,10 +439,6 @@ def _optional_ints(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         return values, present
 
 
-def _times_ok(values: np.ndarray) -> bool:
-    return bool(((values >= 0.0) & np.isfinite(values)).all())
-
-
 _LABEL_CELLS = {"0": 0, "1": 1}
 
 
@@ -444,8 +458,9 @@ def _csv_row(row: list[str], line: int, has_label: bool) -> tuple:
     return src_ip, src_port, dst_ip, dst_port, packets, bytes_total, rel_start, duration, label
 
 
-def _csv_chunk(table: _TableBuilder, has_label: bool, rows: list[list[str]], lines: list[int]) -> None:
-    """Convert CSV rows column-wise; if any check fails, row by row, which raises at the first bad row."""
+def _csv_chunk(table: _TableBuilder, has_label: bool, numbered_rows: list[tuple[list[str], int]]) -> None:
+    """Convert (row, line) pairs column-wise; if any check fails, row by row, which raises at the first bad row."""
+    rows, lines = zip(*numbered_rows)
     cells = list(zip(*rows))
     try:
         src = table.codes([text.strip() for text in cells[0]], validate=True)
@@ -462,16 +477,12 @@ def _csv_chunk(table: _TableBuilder, has_label: bool, rows: list[list[str]], lin
             and bool(((src_port >= 0) & (src_port <= 65535) & (dst_port >= 0) & (dst_port <= 65535)).all())
             and bool(((packets >= 0) & (bytes_total >= 0)).all())
             and not (has_packets & (packets >= 1) & (bytes_total < 1)).any()
-            and _times_ok(rel_start)
-            and _times_ok(duration)
+            and all(((times >= 0.0) & np.isfinite(times)).all() for times in (rel_start, duration))
         )
     if not valid:
         table.add_values(*zip(*(_csv_row(row, line, has_label) for row, line in zip(rows, lines))))
         return
-    if has_label:
-        label = [_LABEL_CELLS.get(text.strip(), -1) for text in cells[8]]
-    else:
-        label = np.full(len(rows), -1)
+    label = [_LABEL_CELLS.get(text.strip(), -1) for text in cells[8]] if has_label else np.full(len(rows), -1)
     table.add(
         src_code=src,
         src_port=src_port,
@@ -498,18 +509,18 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
     with _open_text(source) as stream:
         reader = csv.reader(stream)
         try:
-            header = next(reader)
+            header = tuple(cell.strip() for cell in next(reader))
+            if header[: len(CSV_COLUMNS)] != CSV_COLUMNS or len(header) > len(CSV_COLUMNS) + 1:
+                raise FormatError(f"unexpected header: {','.join(header)!r}")
+            has_label = len(header) == len(CSV_COLUMNS) + 1
+            if has_label and header[-1] != CSV_LABEL_COLUMN:
+                raise FormatError(f"unexpected header: {','.join(header)!r}")
+            table = _TableBuilder()
+            _in_chunks(_csv_rows(reader, len(header)), partial(_csv_chunk, table, has_label))
         except StopIteration:
             raise FormatError("missing header line") from None
-        header = tuple(cell.strip() for cell in header)
-        if header[: len(CSV_COLUMNS)] != CSV_COLUMNS or len(header) > len(CSV_COLUMNS) + 1:
-            raise FormatError(f"unexpected header: {','.join(header)!r}")
-        has_label = len(header) == len(CSV_COLUMNS) + 1
-        if has_label and header[-1] != CSV_LABEL_COLUMN:
-            raise FormatError(f"unexpected header: {','.join(header)!r}")
-
-        table = _TableBuilder()
-        _convert_in_chunks(_csv_rows(reader, len(header)), partial(_csv_chunk, table, has_label))
+        except csv.Error as exc:  # such as a cell over the field limit
+            raise ParseError(str(exc), reader.line_num) from None
     return table.dataset(labeled=None, source_name=source_name)
 
 
@@ -525,8 +536,7 @@ def _csv_rows(reader: Iterator[list[str]], width: int) -> Iterator[tuple[list[st
 def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
     """Serialize a dataset to the canonical flow CSV (round-trips exactly)."""
     if isinstance(sink, (str, Path)):
-        stream: IO[str] = open(sink, "w", encoding="utf-8", newline="")
-        owns = True
+        stream, owns = open(sink, "w", encoding="utf-8", newline=""), True
     else:
         stream, owns = sink, False
     try:
@@ -534,36 +544,15 @@ def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
         with_label = dataset.labeled or bool((dataset.label >= 0).any())
         header = CSV_COLUMNS + ((CSV_LABEL_COLUMN,) if with_label else ())
         writer.writerow(header)
-        address = dataset.addresses.__getitem__
         for lo in range(0, len(dataset), _CHUNK_ROWS):
-            part = dataset._take(slice(lo, lo + _CHUNK_ROWS))
-            packets = part.packets_total.tolist()
-            if not part.has_packets.all():
-                packets = [p if has else "" for p, has in zip(packets, part.has_packets.tolist())]
-            columns = [
-                map(address, part.src_code.tolist()),
-                part.src_port.tolist(),
-                map(address, part.dst_code.tolist()),
-                part.dst_port.tolist(),
-                packets,
-                part.bytes_total.tolist(),
-                map(repr, part.rel_start.tolist()),
-                map(repr, part.duration.tolist()),
-            ]
-            if with_label:
-                columns.append(["" if v < 0 else v for v in part.label.tolist()])
-            writer.writerows(zip(*columns))
+            # csv.writer writes floats as repr(), so they round-trip exactly.
+            writer.writerows(zip(*dataset._row_values(slice(lo, lo + _CHUNK_ROWS), "")[: len(header)]))
     finally:
         if owns:
             stream.close()
 
 
 _BYTE_SUFFIXES = {"bytes": 1, "kB": 1_000, "MB": 1_000_000, "GB": 1_000_000_000}
-
-
-def _iter_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
-    for lineno, line in enumerate(stream, start=1):
-        yield lineno, line.rstrip("\r\n")
 
 
 def _split_endpoint(token: str, line: int) -> tuple[str, int]:
@@ -592,17 +581,14 @@ def parse_tshark_conversations(source: str | Path | IO, source_name: str = "") -
     """
     table = _TableBuilder()
     with _open_text(source) as stream:
-        # Lines are checked as they are read; chunks become columns with no label.
-        _convert_in_chunks(
-            _tshark_rows(stream), lambda rows, lines: table.add_values(*zip(*rows), [None] * len(rows))
-        )
+        table.add_rows(_tshark_rows(stream))
     return table.dataset(labeled=False, source_name=source_name)
 
 
-def _tshark_rows(stream: IO[str]) -> Iterator[tuple[tuple, int]]:
-    """(src_ip, src_port, dst_ip, dst_port, packets, bytes, rel_start, duration) per conversation line."""
+def _tshark_rows(stream: IO[str]) -> Iterator[tuple]:
+    """FlowRecord field values from src_ip to label (None) per conversation line."""
     saw_table = False
-    for lineno, line in _iter_lines(stream):
+    for lineno, line in enumerate(stream, start=1):
         text = line.strip()
         if not text:
             continue
@@ -643,12 +629,10 @@ def _tshark_rows(stream: IO[str]) -> Iterator[tuple[tuple, int]]:
             counts.append(int(round(value)))
             i += 1
         if len(tail) - i != 2:
-            raise ParseError(
-                f"expected relative start and duration, got {tail[i:]!r}", lineno
-            )
+            raise ParseError(f"expected relative start and duration, got {tail[i:]!r}", lineno)
         rel_start = _float_field(tail[i], "relative start", lineno)
         duration = _float_field(tail[i + 1], "duration", lineno)
-        yield (src_ip, src_port, dst_ip, dst_port, counts[4], counts[5], rel_start, duration), lineno
+        yield src_ip, src_port, dst_ip, dst_port, counts[4], counts[5], rel_start, duration, None
     if not saw_table:
         raise FormatError("no conversations table found in input")
 
@@ -669,35 +653,7 @@ def _kdd_size(src_text: str, dst_text: str, line: int) -> int:
     return src_bytes + dst_bytes
 
 
-def _kdd_chunk(table: _TableBuilder, rows: list[tuple[str, str, str]], lines: list[int]) -> None:
-    """Convert KDD (src_bytes, dst_bytes, class) cells; if a check fails, row by row."""
-    src_text, dst_text, classes = zip(*rows)
-    try:
-        src, dst = _ints([t.strip() for t in src_text]), _ints([t.strip() for t in dst_text])
-        valid = bool((src >= 0).all() and (dst >= 0).all() and (src <= MAX_SIZE - dst).all())
-    except (ValueError, OverflowError):
-        valid = False
-    sizes = src + dst if valid else [_kdd_size(s, d, line) for (s, d, _), line in zip(rows, lines)]
-    zeros = np.zeros(len(rows), dtype=np.int64)
-    table.add(
-        src_code=zeros,  # the placeholder endpoint, address code 0
-        src_port=zeros,
-        dst_code=zeros,
-        dst_port=zeros,
-        packets_total=zeros,
-        has_packets=zeros,
-        bytes_total=sizes,
-        rel_start=np.arange(table.n_rows, table.n_rows + len(rows)),
-        duration=zeros,
-        label=[cls.strip().rstrip(".") != "normal" for cls in classes],
-    )
-
-
-def adapt_kdd(
-    source: str | Path | IO,
-    source_name: str = "",
-    max_flows: int | None = None,
-) -> FlowDataset:
+def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | None = None) -> FlowDataset:
     """Adapt KDD Cup 1999 connection records (41 features + class label).
 
     Only TCP rows are kept. The format has neither timestamps nor endpoint
@@ -711,23 +667,36 @@ def adapt_kdd(
     if max_flows is not None and max_flows < 1:
         raise ValueError(f"max_flows must be at least 1, got {max_flows}")
     table = _TableBuilder()
-    table.codes(["0.0.0.0"], validate=False)
+    table.codes(["0.0.0.0"], validate=False)  # the placeholder endpoint, also in an empty file's table
     with _open_text(source) as stream:
-        _convert_in_chunks(_kdd_rows(csv.reader(stream), max_flows), partial(_kdd_chunk, table))
+        table.add_rows(_kdd_rows(stream, max_flows))
     return table.dataset(labeled=True, source_name=source_name)
 
 
-def _kdd_rows(reader: Iterator[list[str]], max_flows: int | None) -> Iterator[tuple[tuple[str, str, str], int]]:
-    """(src_bytes, dst_bytes, class) cells of the TCP rows, up to max_flows of them."""
+def _kdd_rows(stream: IO[str], max_flows: int | None) -> Iterator[tuple]:
+    """FlowRecord field values from src_ip to label of the TCP records, up to max_flows of them.
+
+    Lines are split on commas. A line with a quote, or with a CR that a text
+    stream split on LF alone left in it, is read by ``csv.reader``.
+    """
     kept = 0
-    for lineno, row in enumerate(reader, start=1):
-        if not row:
+    for lineno, line in enumerate(stream, start=1):
+        line = line.rstrip("\r\n")
+        if not line:
             continue
+        if '"' in line or "\r" in line:
+            try:
+                row = next(csv.reader([line]))
+            except csv.Error as exc:  # such as a cell over the field limit
+                raise ParseError(str(exc), lineno) from None
+        else:
+            row = line.split(",")
         if len(row) < 42:
             raise ParseError(f"expected at least 42 fields, got {len(row)}", lineno)
         if row[1].strip().lower() != "tcp":
             continue
-        yield (row[4], row[5], row[-1]), lineno
+        label = 0 if row[-1].strip().rstrip(".") == "normal" else 1
+        yield "0.0.0.0", 0, "0.0.0.0", 0, None, _kdd_size(row[4], row[5], lineno), kept, 0.0, label
         kept += 1
         if kept == max_flows:
             return

@@ -441,6 +441,53 @@ def test_bad_row_in_an_earlier_chunk_position_wins_over_a_later_bad_line():
         parse_flow_csv(io.StringIO(text))
 
 
+def kdd_line(service="http", src_bytes="10", cls="normal."):
+    return ",".join(["0", "tcp", service, "SF", src_bytes, "20"] + ["0"] * 35 + [cls])
+
+
+KDD_LINES = [kdd_line(), kdd_line(cls="neptune."), kdd_line(src_bytes="7")]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        pytest.param([kdd_line(service='"http,x"'), *KDD_LINES], id="quoted-service"),
+        pytest.param([kdd_line(service='"a ""b"""'), *KDD_LINES], id="escaped-quote"),
+        pytest.param([*KDD_LINES, kdd_line(src_bytes='"15"')], id="quoted-bytes"),
+        pytest.param([kdd_line(src_bytes='" 15 "'), kdd_line(src_bytes='"1,5"')], id="quoted-bad-bytes"),
+        pytest.param([kdd_line(cls="normal.\0"), kdd_line(cls="nor\0mal."), *KDD_LINES], id="nul-in-class"),
+    ],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 4096])
+def test_adapt_kdd_reads_quoted_and_nul_lines_like_the_csv_reader(lines, chunk_rows):
+    text = "\n".join(lines) + "\n"
+    assert outcome(adapt_kdd, text, chunk_rows) == ref_outcome(ref_adapt_kdd, text)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_adapt_kdd_reads_crlf_and_cr_only_lines_from_a_path(tmp_path, newline):
+    path = tmp_path / "kddcup.data"
+    path.write_bytes(newline.join([*KDD_LINES, "", kdd_line(src_bytes='"5"'), ""]).encode())
+    dataset = adapt_kdd(path)
+    assert (dataset.flows, dataset.labeled) == ref_adapt_kdd(path)
+    assert dataset.bytes_total.tolist() == [30, 30, 27, 25]
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ({"src_bytes": "9" * 200_000}, "line 2: field src_bytes is not an integer: '999"),
+        ({"service": '"' + "x" * 200_000 + '"'}, "line 2: field larger than field limit (131072)"),
+    ],
+    ids=["unquoted-bytes", "quoted-service"],
+)
+def test_adapt_kdd_overlong_cell_is_a_parse_error_naming_its_line(cells, message):
+    text = kdd_line() + "\n" + kdd_line(**cells) + "\n"
+    with pytest.raises(ParseError) as info:
+        adapt_kdd(io.StringIO(text))
+    assert info.value.line == 2 and str(info.value).startswith(message)
+
+
 # -- address fast path ----------------------------------------------------------------
 
 

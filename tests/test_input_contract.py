@@ -143,6 +143,14 @@ LABELING = ["--labeling-abs", "1"]
         pytest.param(
             "kdd", KDD_TEXT + "0,tcp,http,SF,10,20\n", LABELING, 2, "expected at least 42 fields", id="kdd-short-row"
         ),
+        pytest.param(
+            "csv",
+            csv_text(bytes_total="9" * 200_000),
+            LABELING,
+            2,
+            "line 2: field larger than field limit",
+            id="csv-overlong-cell",
+        ),
         pytest.param("csv", "", LABELING, 2, "missing header line", id="csv-empty"),
         pytest.param("tshark", "", LABELING, 2, "no conversations table", id="tshark-empty"),
         pytest.param("kdd", "", LABELING, 2, "at least one positive and one negative window", id="kdd-empty"),
@@ -179,6 +187,36 @@ def test_malformed_input_or_configuration_exits_cleanly_without_output(
     prefix = "input error" if code == 2 else "configuration error"
     assert err.startswith(f"flowdigits: {prefix}:") and message in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "fmt, parse, text",
+    [
+        ("csv", parse_flow_csv, csv_text()),
+        ("tshark", parse_tshark_conversations, tshark_text()),
+        ("kdd", adapt_kdd, KDD_TEXT),
+    ],
+    ids=["csv", "tshark", "kdd"],
+)
+@pytest.mark.parametrize("command", [["score"], ["evaluate", "--roc", *LABELING]], ids=["score", "roc"])
+def test_undecodable_byte_is_an_input_error(tmp_path, capsys, fmt, parse, text, command):
+    data = text.encode("utf-8")
+    offset = len(data) - 4  # inside the last line
+    data = data[:offset] + b"\xff" + data[offset:]
+    path = tmp_path / f"input.{fmt}"
+    path.write_bytes(data)
+    argv = [command[0], "--format", fmt, "--window", "2", *command[1:], str(path), "-o", str(tmp_path / "out.csv")]
+    got = main(argv)
+    err = capsys.readouterr().err
+    assert (got, "Traceback" in err) == (2, False)
+    assert err == f"flowdigits: input error: input is not UTF-8: byte 0xff at byte offset {offset}\n"
+    assert list(tmp_path.iterdir()) == [path]
+    # bytes input is decoded whole, so its error also names the line.
+    line = data.count(b"\n", 0, offset) + 1
+    with pytest.raises(ParseError, match=f"^line {line}: input is not UTF-8: byte 0xff at byte offset {offset}$"):
+        parse(data)
+    with pytest.raises(ParseError, match=f"^input is not UTF-8: byte 0xff at byte offset {offset}$"):
+        parse(io.BytesIO(data))
 
 
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, 0.0])
