@@ -73,9 +73,10 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _config_dict(config: DetectorConfig) -> dict:
+def _config_dict(config: DetectorConfig, step: int | None = None) -> dict:
+    """The manifest's config; a grid's ``step`` is recorded as the window slide."""
     return {
-        "window": {"w": config.window.w, "s": config.window.s},
+        "window": {"w": config.window.w, "s": config.window.s if step is None else step},
         "metric": config.metric.value,
         "unit": config.unit.value,
         "zero_policy": config.zero_policy.value,
@@ -119,10 +120,11 @@ def _labeling_rule(value: str | float | int, absolute: bool) -> LabelingRule:
     return LabelingRule(absolute=int(value)) if absolute else LabelingRule(relative=float(value))
 
 
-def _config_from_args(args, labeling: LabelingRule | None = None) -> DetectorConfig:
+def _config_from_args(args, labeling: LabelingRule | None = None, grid: bool = False) -> DetectorConfig:
+    """The detector config of the flags; a grid never scores --window, so --step is not checked against it."""
     kld = KldParams(theta=args.theta) if args.theta is not None else KldParams()
     return DetectorConfig(
-        window=WindowSpec(args.window, args.step),
+        window=WindowSpec(args.window, None if grid else args.step),
         metric=SimilarityMetric(args.metric),
         unit=SizeUnit(args.unit),
         zero_policy=ZeroPolicy(args.zeros),
@@ -167,8 +169,6 @@ def _parse_burst(text: str) -> AttackBurst:
         if kind == "uniform" and len(parts) == 5:
             lo, hi, start, length = (int(p) for p in parts[1:])
             return AttackBurst(start_index=start, length=length, pattern=UniformSize(lo, hi))
-    except GeneratorSpecError:
-        raise
     except ValueError:
         raise ValueError(f"burst fields must be integers: {text!r}") from None
     raise ValueError(f"burst must look like const:SIZE:START:LEN or uniform:LO:HI:START:LEN, got {text!r}")
@@ -210,10 +210,10 @@ def cmd_evaluate(args) -> int:
     value, absolute = _labeling_from_args(args)
     if args.roc and (value is None or "," in value or ".." in value):
         raise ValueError("--roc needs a single --tl or --labeling-abs value")
-    config = _config_from_args(args, _labeling_rule(value, absolute) if args.roc else None)
+    config = _config_from_args(args, _labeling_rule(value, absolute) if args.roc else None, grid=not args.roc)
     if not args.roc:
         labeling_grid = _parse_labeling_grid(value, absolute)
-        w_grid = _parse_list(args.windows, int, "--windows")
+        w_grid = [WindowSpec(w, args.step).w for w in _parse_list(args.windows, int, "--windows")]
         metric_set = _parse_list(args.metrics, lambda m: SimilarityMetric(m.strip()), "--metrics")
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     if not dataset.labeled:
@@ -236,7 +236,7 @@ def cmd_evaluate(args) -> int:
         step=args.step,
     )
     output = args.output or "sweep.csv"
-    _write_output(output, lambda h: write_sweep_csv(result, h), "evaluate", _config_dict(config), args.input)
+    _write_output(output, lambda h: write_sweep_csv(result, h), "evaluate", _config_dict(config, args.step), args.input)
     best = result.best()
     if best is None:
         print("no evaluable grid cells (all degenerate)")
@@ -250,12 +250,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _config_from_args(args, None)
-    w_grid = _parse_list(args.windows, int, "--windows") if args.windows else list(DEFAULT_SWEEP_GRID)
+    config = _config_from_args(args, None, grid=True)
+    w_grid = _parse_list(args.windows, int, "--windows") if args.windows else DEFAULT_SWEEP_GRID
+    w_grid = [WindowSpec(w, args.step).w for w in w_grid]
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     result = window_size_sweep(dataset, config, w_grid, step=args.step)
     output = args.output or "wsweep.csv"
-    _write_output(output, lambda h: write_sweep_csv(result, h), "sweep", _config_dict(config), args.input)
+    _write_output(output, lambda h: write_sweep_csv(result, h), "sweep", _config_dict(config, args.step), args.input)
     present = sum(1 for c in result.cells if c.value is not None)
     print(f"swept {len(result.cells)} window sizes ({present} evaluable) -> {output}")
     return 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import similarity
 from .benford import ZeroPolicy, digit_probabilities, leading_digits
 from .errors import CapabilityError
-from .ingest import FlowDataset, OrderingScheme, order_flows
+from .ingest import FlowDataset, OrderingScheme, flow_order
 from .similarity import KldParams, SimilarityMetric
 from .windowing import (
     SizeUnit,
@@ -139,21 +138,19 @@ class OrderedFlows:
     """
 
     def __init__(self, dataset: FlowDataset, config: DetectorConfig):
-        self.dataset = order_flows(dataset, config.ordering)
-        self.n_flows = len(self.dataset)
-        digits = leading_digits(difference_sequence(size_sequence(self.dataset, config.unit)))
+        order = flow_order(dataset, config.ordering)
+        self.n_flows = len(order)
+        self.labeled = dataset.labeled
         # Sorted digit * stride + position: the positions of each digit, in
         # order, so window counts are two binary searches per digit.
-        self._stride = digits.size + 1
-        self._keys = digits * self._stride
-        self._keys += np.arange(digits.size)
+        self._keys = leading_digits(difference_sequence(size_sequence(dataset, config.unit)[order]))
+        self._stride = self._keys.size + 1
+        self._keys *= self._stride
+        self._keys += np.arange(self._keys.size)
         self._keys.sort()
-
-    @cached_property
-    def _label_cum(self) -> np.ndarray:
-        label_cum = np.zeros(self.n_flows + 1, dtype=np.int64)
-        np.cumsum(self.dataset.label, dtype=np.int64, out=label_cum[1:])
-        return label_cum
+        if self.labeled:
+            self._label_cum = np.zeros(self.n_flows + 1, dtype=np.int64)
+            np.cumsum(dataset.label[order], dtype=np.int64, out=self._label_cum[1:])
 
     def digit_counts(self, starts: np.ndarray, length: int) -> np.ndarray:
         """(k, 10) first-digit counts of the differences [start, start + length)."""
@@ -199,9 +196,7 @@ def window_arrays(
         part = slice(lo, lo + _CHUNK)
         counts = flows.digit_counts(starts[part], w - 1)
         scores[part], valid[part] = _count_scores(counts, config.zero_policy, config.metric, config.kld)
-    truths = None
-    if flows.dataset.labeled and config.labeling is not None:
-        truths = flows.truths(starts, w, config.labeling)
+    truths = flows.truths(starts, w, config.labeling) if flows.labeled and config.labeling is not None else None
     return starts, scores, valid, truths
 
 

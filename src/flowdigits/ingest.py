@@ -369,7 +369,7 @@ def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
         except UnicodeDecodeError as exc:
             offset = len(source) - len(exc.object) + exc.start
             raise _undecodable(exc, offset, source.count(b"\n", 0, offset) + 1) from None
-        yield io.StringIO(text)
+        yield io.StringIO(text, newline="")
     elif hasattr(source, "read"):
         binary = isinstance(source.read(0), bytes)
         stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="") if binary else source
@@ -576,8 +576,9 @@ def parse_tshark_conversations(source: str | Path | IO, source_name: str = "") -
     and bytes for each direction and in total, then relative start and
     duration. Depending on the tshark version, byte columns are either plain
     integers or values with an SI suffix ("56 kB" means 56000); both forms
-    are accepted, as are thousands separators. Endpoint ports must be in
-    0..65535, as in the flow CSV. Flows come out unlabeled.
+    are accepted, as are thousands separators. As in the flow CSV, endpoint
+    ports must be in 0..65535 and a conversation with frames must have bytes.
+    Flows come out unlabeled.
     """
     table = _TableBuilder()
     with _open_text(source) as stream:
@@ -628,6 +629,8 @@ def _tshark_rows(stream: IO[str]) -> Iterator[tuple]:
                 raise ParseError(f"count {token!r} is not a finite number up to {MAX_SIZE}", lineno)
             counts.append(int(round(value)))
             i += 1
+        if counts[4] >= 1 and counts[5] < 1:
+            raise ParseError("flow with packets but zero bytes", lineno)
         if len(tail) - i != 2:
             raise ParseError(f"expected relative start and duration, got {tail[i:]!r}", lineno)
         rel_start = _float_field(tail[i], "relative start", lineno)
@@ -702,12 +705,12 @@ def _kdd_rows(stream: IO[str], max_flows: int | None) -> Iterator[tuple]:
             return
 
 
-def order_flows(dataset: FlowDataset, scheme: OrderingScheme) -> FlowDataset:
-    """Return the dataset sorted under one of the four orderings.
+def flow_order(dataset: FlowDataset, scheme: OrderingScheme) -> np.ndarray:
+    """The permutation that sorts the dataset under one of the four orderings.
 
     Key attributes compare left to right; addresses compare on their packed
     byte form, ports numerically. Flows with equal keys keep their raw-log
-    order (ascending seq_no), which also makes the operation idempotent.
+    order (ascending seq_no), which also makes the ordering idempotent.
     """
     if scheme is OrderingScheme.START_END:
         keys = (dataset.rel_start, dataset.rel_start + dataset.duration)
@@ -722,4 +725,9 @@ def order_flows(dataset: FlowDataset, scheme: OrderingScheme) -> FlowDataset:
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown ordering scheme: {scheme!r}")
     # lexsort is stable and takes its primary key last.
-    return dataset._take(np.lexsort((dataset.seq_no,) + keys[::-1]))
+    return np.lexsort((dataset.seq_no,) + keys[::-1])
+
+
+def order_flows(dataset: FlowDataset, scheme: OrderingScheme) -> FlowDataset:
+    """Return the dataset sorted under one of the four orderings (see ``flow_order``)."""
+    return dataset._take(flow_order(dataset, scheme))

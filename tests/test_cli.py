@@ -112,6 +112,54 @@ def test_score_with_labeling_truth_column(tmp_path):
     assert truths == {"0", "1"}
 
 
+def test_score_without_output_writes_scores_to_stdout_and_no_manifest(tmp_path, capsys):
+    synth = generate_synth(tmp_path)
+    written = tmp_path / "scores.csv"
+    assert main(["score", "--window", "500", str(synth), "-o", str(written)]) == 0
+    expected = written.read_text()
+    written.unlink()
+    (tmp_path / "scores.csv.manifest.json").unlink()
+    capsys.readouterr()
+    assert main(["score", "--window", "500", str(synth)]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(expected.splitlines()) == 1 + (4500 - 500) // 250 + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.csv", "synth.csv.manifest.json"]
+
+
+TSHARK_SAMPLE = "================\nTCP Conversations\nFilter:<No Filter>\n" + "".join(
+    f"10.0.0.{i % 7 + 1}:{1000 + i} <-> 10.0.1.1:80 1 40 2 {7 * i * i} 3 {7 * i * i + 40} {i * 0.5} 1.0\n"
+    for i in range(60)
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tshark"])
+def test_max_flows_scores_the_first_flows_of_the_input(tmp_path, fmt):
+    if fmt == "csv":
+        lines, head = generate_synth(tmp_path).read_text().splitlines(keepends=True), 1
+    else:
+        lines, head = TSHARK_SAMPLE.splitlines(keepends=True), 3
+    full, first = tmp_path / "full.txt", tmp_path / "first.txt"
+    full.write_text("".join(lines))
+    first.write_text("".join(lines[: head + 30]))
+    common = ["score", "--format", fmt, "--window", "10", "--ordering", "five-tuple-start"]
+    assert main(common + ["--max-flows", "30", str(full), "-o", str(tmp_path / "a.csv")]) == 0
+    assert main(common + [str(first), "-o", str(tmp_path / "b.csv")]) == 0
+    scores = (tmp_path / "a.csv").read_text()
+    assert scores == (tmp_path / "b.csv").read_text()
+    assert len(scores.splitlines()) == 1 + (30 - 10) // 5 + 1
+
+
+@pytest.mark.parametrize(
+    "labeling", [["--tl", "0.1,0.2"], ["--tl", "0.1..0.2"], ["--labeling-abs", "1,2"], ["--labeling-abs", "1..5"], []]
+)
+def test_evaluate_roc_without_a_single_labeling_value_exits_3(tmp_path, capsys, labeling):
+    out = tmp_path / "roc.csv"
+    assert main(["evaluate", "--roc", *labeling, str(tmp_path / "absent.csv"), "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "flowdigits: configuration error: --roc needs a single --tl or --labeling-abs value\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_score_missing_input_exit_2(tmp_path, capsys):
     assert main(["score", str(tmp_path / "absent.csv")]) == 2
     assert "input error" in capsys.readouterr().err

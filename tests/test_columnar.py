@@ -182,6 +182,10 @@ def ref_parse_tshark_conversations(source):
                     raise ParseError(f"count {token!r} is not a finite number up to {MAX_SIZE}", lineno)
                 counts.append(int(round(value)))
                 i += 1
+            # A second deliberate difference: a conversation with frames but
+            # zero bytes is now rejected, as the flow CSV rejects such a flow.
+            if counts[4] >= 1 and counts[5] < 1:
+                raise ParseError("flow with packets but zero bytes", lineno)
             if len(tail) - i != 2:
                 raise ParseError(f"expected relative start and duration, got {tail[i:]!r}", lineno)
             rel_start = ref_float_field(tail[i], "relative start", lineno)

@@ -122,6 +122,18 @@ def test_flow_csv_round_trip():
     assert again.labeled
 
 
+@pytest.mark.parametrize("as_text", [False, True])
+def test_write_flow_csv_to_a_path_matches_a_stream(tmp_path, as_text):
+    flows = tuple(make_flow(i, label=i % 2, packets_total=None if i == 3 else i) for i in range(5))
+    ds = FlowDataset(flows=flows, labeled=True)
+    path = tmp_path / "flows.csv"
+    write_flow_csv(ds, str(path) if as_text else path)
+    buffer = io.StringIO()
+    write_flow_csv(ds, buffer)
+    assert path.read_bytes() == buffer.getvalue().encode("utf-8")
+    assert parse_flow_csv(path).flows == ds.flows
+
+
 TSHARK_OLD = """\
 ================================================================================
 TCP Conversations

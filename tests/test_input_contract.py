@@ -2,6 +2,7 @@
 
 import gzip
 import io
+import json
 import math
 
 import pytest
@@ -100,6 +101,7 @@ def test_csv_largest_int64_size_is_accepted(tmp_path, capsys):
         {"start": "inf"},
         {"duration": "nan"},
         {"bytes_total": "12 XB"},
+        {"bytes_total": "0"},
     ],
 )
 def test_tshark_out_of_range_counts_and_times_exit_2(tmp_path, capsys, fields):
@@ -116,6 +118,7 @@ def test_kdd_byte_sum_beyond_int64_exits_2(tmp_path, capsys):
 
 
 KDD_TEXT = kdd_sample_text(n_normal=20, n_attack=20)
+STEP_MESSAGE = "slide step must satisfy 1 <= s <= w"
 LABELING = ["--labeling-abs", "1"]
 
 
@@ -240,6 +243,13 @@ def test_adapt_kdd_rejects_max_flows_below_one(max_flows):
         pytest.param(["evaluate", "--tl", ","], "--tl lists no values: ','", id="evaluate-tl"),
         pytest.param(["evaluate", "--labeling-abs", ","], "--labeling-abs lists no values: ','", id="evaluate-abs"),
         pytest.param(["sweep", "--windows", ","], "--windows lists no values: ','", id="sweep-windows"),
+        pytest.param(["evaluate", "--windows", "100", "--step", "300"], STEP_MESSAGE, id="evaluate-step-over-w"),
+        pytest.param(
+            ["evaluate", "--windows", "5000,100", "--step", "3000"], STEP_MESSAGE, id="evaluate-step-over-one-w"
+        ),
+        pytest.param(["evaluate", "--windows", "100", "--step", "0"], STEP_MESSAGE, id="evaluate-step-zero"),
+        pytest.param(["sweep", "--windows", "100", "--step", "300"], STEP_MESSAGE, id="sweep-step-over-w"),
+        pytest.param(["sweep", "--step", "600"], STEP_MESSAGE, id="sweep-step-over-default-w"),
     ],
 )
 def test_empty_grid_axis_exits_3_before_reading_input(tmp_path, capsys, argv, message):
@@ -263,3 +273,32 @@ def test_sweep_bare_windows_flag_means_the_default_grid(tmp_path, capsys):
     with pytest.warns(RuntimeWarning):
         assert main(["sweep", "--format", "kdd", "--windows", "", str(path), "-o", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + len(DEFAULT_SWEEP_GRID) * 2
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_grid_step_is_checked_against_the_grid_not_the_unused_window(tmp_path, capsys, command):
+    path = tmp_path / "input.kdd"
+    path.write_text(KDD_TEXT)
+    out = tmp_path / "grid.csv"
+    argv = [command, "--format", "kdd", "--window", "5", "--windows", "10,20", "--step", "8", str(path), "-o", str(out)]
+    assert main(argv + (["--labeling-abs", "1"] if command == "evaluate" else [])) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((tmp_path / "grid.csv.manifest.json").read_text())["config"]["window"] == {"w": 5, "s": 8}
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_flow_csv, csv_text()),
+        (parse_tshark_conversations, tshark_text()),
+        (adapt_kdd, KDD_NORMAL.format(src=10, dst=20) + KDD_ATTACK),
+    ],
+    ids=["csv", "tshark", "kdd"],
+)
+def test_cr_only_line_ends_parse_alike_from_bytes_stream_and_path(tmp_path, parse, text):
+    data = text.replace("\n", "\r").encode("utf-8")
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    expected = parse(path).flows
+    assert len(expected) >= 2
+    assert parse(data).flows == parse(io.BytesIO(data)).flows == expected
