@@ -72,12 +72,9 @@ def resolve_labeling_threshold(labeling: LabelingRule, w: int) -> int:
     return min(w, max(1, math.ceil(raw - 1e-9)))
 
 
-def _truths(label_cum: np.ndarray, starts: np.ndarray, w: int, t_l_abs: int) -> np.ndarray:
-    """1 where the window [start, start + w) holds at least t_l_abs malicious flows, else 0.
-
-    ``label_cum`` is the prefix sum of the 0/1 flow labels with a leading 0.
-    """
-    return (label_cum[starts + w] - label_cum[starts] >= t_l_abs).astype(np.int64)
+def _truths(malicious_counts: np.ndarray, t_l_abs: int) -> np.ndarray:
+    """1 where a window holds at least t_l_abs malicious flows, else 0."""
+    return (malicious_counts >= t_l_abs).astype(np.int64)
 
 
 def label_window(flow_labels: Sequence[int | None], window: WindowIndex, t_l_abs: int) -> int:
@@ -87,8 +84,7 @@ def label_window(flow_labels: Sequence[int | None], window: WindowIndex, t_l_abs
     labels = flow_labels[window.start : window.end]
     if any(value is None for value in labels):
         raise CapabilityError("window labeling requires a fully labeled dataset")
-    label_cum = np.concatenate(([0], np.cumsum(labels, dtype=np.int64)))
-    return int(_truths(label_cum, np.zeros(1, dtype=np.int64), len(labels), t_l_abs)[0])
+    return int(_truths(np.sum(labels, dtype=np.int64), t_l_abs))
 
 
 @dataclass(frozen=True)
@@ -159,12 +155,16 @@ class OrderedFlows:
         hi = np.searchsorted(self._keys, offsets + (starts + length))
         return (hi - lo).T
 
+    def malicious_counts(self, starts: np.ndarray, w: int) -> np.ndarray:
+        """Malicious flows in each window [start, start + w). The dataset must be labeled."""
+        return self._label_cum[starts + w] - self._label_cum[starts]
+
     def truths(self, starts: np.ndarray, w: int, labeling: LabelingRule) -> np.ndarray:
         """Ground truth of the windows [start, start + w): 1 iff at least T_l flows are malicious.
 
         The dataset must be labeled.
         """
-        return _truths(self._label_cum, starts, w, resolve_labeling_threshold(labeling, w))
+        return _truths(self.malicious_counts(starts, w), resolve_labeling_threshold(labeling, w))
 
 
 def _count_scores(

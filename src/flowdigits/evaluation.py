@@ -9,7 +9,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .detector import DetectorConfig, LabelingRule, OrderedFlows, WindowScore, window_arrays
+from .detector import DetectorConfig, LabelingRule, OrderedFlows, WindowScore, resolve_labeling_threshold, window_arrays
 from .errors import CapabilityError, DegenerateLabelsError, EmptyStatsError
 from .ingest import FlowDataset
 from .similarity import SimilarityMetric
@@ -34,28 +34,61 @@ def roc_curve(scores: np.ndarray, truths: np.ndarray) -> RocCurve:
 
     Thresholds sweep the distinct scores. Infinite scores rank above every
     finite score; tied scores collapse into one curve point, which gives
-    tied positive/negative pairs half credit. The AUC numerator accumulates
-    in integers, so equal inputs can be compared for exact equality.
+    tied positive/negative pairs half credit. The AUC is computed in
+    integers, so equal inputs can be compared for exact equality.
     """
     n_pos = int(truths.sum())
     n_neg = len(truths) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("ROC needs at least one positive and one negative window")
 
-    order = np.argsort(-scores, kind="stable")
-    ranked = scores[order]
+    order, ends, ranks = _midranks(scores)
     # One curve point per run of equal scores, taken at the run's end.
-    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
     tp = np.cumsum(truths[order])[ends]
     fp = ends + 1 - tp
-    dtp = np.diff(tp, prepend=0)
-    dfp = np.diff(fp, prepend=0)
-    auc_num = int(np.sum(dfp * (2 * (tp - dtp) + dtp)))
-    thresholds = ranked[np.append(0, ends[:-1] + 1)]
+    thresholds = scores[order[np.append(0, ends[:-1] + 1)]]
     points = ((math.inf, 0.0, 0.0),) + tuple(
         zip(thresholds.tolist(), (fp / n_neg).tolist(), (tp / n_pos).tolist())
     )
-    return RocCurve(points=points, auc=auc_num / (2 * n_pos * n_neg))
+    return RocCurve(points=points, auc=_auc(int(ranks @ truths), n_pos, len(truths)))
+
+
+def _midranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, ends, ranks) of a float score array without NaN.
+
+    ``order`` sorts the scores descending (stable), ``ends`` is the last
+    position of each run of equal scores in that order, and ``ranks`` holds
+    twice each score's ascending mid-rank, an int64 shared by its run.
+    """
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    runs = np.diff(ends, prepend=-1)
+    ranks = np.empty(len(scores), dtype=np.int64)
+    # A run of r scores ending at descending position b holds the ascending ranks n - b .. n - b + r - 1.
+    ranks[order] = np.repeat(2 * (len(scores) - ends) + runs - 1, runs)
+    return order, ends, ranks
+
+
+def _auc(rank_sum: int, n_pos: int, n: int) -> float:
+    """Mann-Whitney AUC from the positives' doubled mid-rank sum: 2U / (2 n_pos n_neg).
+
+    2U = rank_sum - n_pos (n_pos + 1) is the trapezoid area's integer numerator.
+    """
+    return (rank_sum - n_pos * (n_pos + 1)) / (2 * n_pos * (n - n_pos))
+
+
+def _threshold_aucs(scores: np.ndarray, counts: np.ndarray, thresholds: Sequence[int]) -> list[float | None]:
+    """AUC of ``scores`` against the truths ``counts >= t`` per threshold t; None where they are single-class.
+
+    In descending count order every threshold's positives come first, so
+    each AUC is one lookup in the prefix sums of the ranks in that order.
+    """
+    by_count = np.argsort(-counts, kind="stable")
+    rank_sums = np.append(0, np.cumsum(_midranks(scores)[2][by_count]))
+    ranked_counts, n = counts[by_count], len(scores)
+    n_pos = [int(np.count_nonzero(ranked_counts >= t)) for t in thresholds]
+    return [_auc(int(rank_sums[k]), k, n) if 0 < k < n else None for k in n_pos]
 
 
 def roc_auc(pairs: Iterable[tuple[float, int]]) -> RocCurve:
@@ -161,12 +194,12 @@ def grid_evaluate(
 ) -> SweepResult:
     """AUC per (window size, labeling threshold, metric) grid cell.
 
-    Scores are shared across labeling thresholds and ground truths across
-    metrics, so each cell costs one ROC computation. Each grid W slides by
-    ``step`` (default W // 2). Cells whose window labels come out
-    single-class are absent with reason "degenerate labels". ``threads`` is
-    accepted and ignored: the work is array code, and a thread pool measured
-    no faster.
+    Per window size and metric, one sort ranks the window scores and every
+    labeling threshold's AUC is a prefix-sum lookup (see _threshold_aucs),
+    equal to roc_curve's AUC for that cell. Each grid W slides by ``step``
+    (default W // 2). Cells whose window labels come out single-class are
+    absent with reason "degenerate labels". ``threads`` is accepted and
+    ignored: the work is array code, and a thread pool measured no faster.
     """
     if not dataset.labeled:
         raise CapabilityError("grid evaluation requires a labeled dataset")
@@ -181,17 +214,17 @@ def grid_evaluate(
             )
             continue
         config = replace(base_config, window=WindowSpec(w, step), labeling=None)
-        starts = window_starts(flows.n_flows, config.window)
-        scores = {metric: window_arrays(flows, replace(config, metric=metric))[1] for metric in metric_set}
-        for labeling in labeling_grid:
-            truths = flows.truths(starts, w, labeling)
-            degenerate = bool(truths.all()) or not bool(truths.any())
+        counts = flows.malicious_counts(window_starts(flows.n_flows, config.window), w)
+        thresholds = [resolve_labeling_threshold(labeling, w) for labeling in labeling_grid]
+        aucs = {
+            metric: _threshold_aucs(window_arrays(flows, replace(config, metric=metric))[1], counts, thresholds)
+            for metric in metric_set
+        }
+        for i, labeling in enumerate(labeling_grid):
             for metric in metric_set:
-                coords = (w, labeling.describe(), metric.value)
-                if degenerate:
-                    cells.append(SweepCell(coords=coords, value=None, reason="degenerate labels"))
-                else:
-                    cells.append(SweepCell(coords=coords, value=roc_curve(scores[metric], truths).auc))
+                value = aucs[metric][i]
+                reason = "degenerate labels" if value is None else None
+                cells.append(SweepCell(coords=(w, labeling.describe(), metric.value), value=value, reason=reason))
     return SweepResult(axes=("w", "labeling", "metric"), cells=tuple(cells))
 
 

@@ -368,7 +368,7 @@ def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
             text = source.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             offset = len(source) - len(exc.object) + exc.start
-            raise _undecodable(exc, offset, source.count(b"\n", 0, offset) + 1) from None
+            raise _undecodable(exc, offset, _line_breaks(source[:offset]) + 1) from None
         yield io.StringIO(text, newline="")
     elif hasattr(source, "read"):
         binary = isinstance(source.read(0), bytes)
@@ -386,6 +386,21 @@ def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
         raise TypeError(f"unsupported input source: {type(source)!r}")
 
 
+def _line_breaks(data: bytes) -> int:
+    """Line breaks in ``data`` as the text reader splits them: LF, CRLF (one break) and a lone CR."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _quote(cell: str | list[str]) -> str:
+    """``repr`` of a cell, or of a list of cells, for an error message.
+
+    A repr over 256 characters keeps its first 40 and gives its length, so
+    an over-long cell cannot blow up the message.
+    """
+    text = repr(cell)
+    return text if len(text) <= 256 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _undecodable(exc: UnicodeDecodeError, offset: int | None, line: int | None = None) -> ParseError:
     at = "" if offset is None else f" at byte offset {offset}"
     return ParseError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x}{at}", line)
@@ -395,7 +410,7 @@ def _int_field(text: str, name: str, line: int, lo: int = 0, hi: int | None = No
     try:
         value = int(text)
     except ValueError:
-        raise ParseError(f"field {name} is not an integer: {text!r}", line) from None
+        raise ParseError(f"field {name} is not an integer: {_quote(text)}", line) from None
     if value < lo:
         raise ParseError(f"field {name} must be >= {lo}, got {value}", line)
     if hi is not None and value > hi:
@@ -407,7 +422,7 @@ def _float_field(text: str, name: str, line: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"field {name} is not a number: {text!r}", line) from None
+        raise ParseError(f"field {name} is not a number: {_quote(text)}", line) from None
     if not (value >= 0.0 and math.isfinite(value)):
         raise ParseError(f"field {name} must be finite and non-negative, got {value}", line)
     return value
@@ -415,7 +430,7 @@ def _float_field(text: str, name: str, line: int) -> float:
 
 def _address_field(text: str, name: str, line: int) -> str:
     if not _is_address(text):
-        raise ParseError(f"field {name} is not an IP address: {text!r}", line)
+        raise ParseError(f"field {name} is not an IP address: {_quote(text)}", line)
     return text
 
 
@@ -511,10 +526,10 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
         try:
             header = tuple(cell.strip() for cell in next(reader))
             if header[: len(CSV_COLUMNS)] != CSV_COLUMNS or len(header) > len(CSV_COLUMNS) + 1:
-                raise FormatError(f"unexpected header: {','.join(header)!r}")
+                raise FormatError(f"unexpected header: {_quote(','.join(header))}")
             has_label = len(header) == len(CSV_COLUMNS) + 1
             if has_label and header[-1] != CSV_LABEL_COLUMN:
-                raise FormatError(f"unexpected header: {','.join(header)!r}")
+                raise FormatError(f"unexpected header: {_quote(','.join(header))}")
             table = _TableBuilder()
             _in_chunks(_csv_rows(reader, len(header)), partial(_csv_chunk, table, has_label))
         except StopIteration:
@@ -558,14 +573,14 @@ _BYTE_SUFFIXES = {"bytes": 1, "kB": 1_000, "MB": 1_000_000, "GB": 1_000_000_000}
 def _split_endpoint(token: str, line: int) -> tuple[str, int]:
     addr, sep, port = token.rpartition(":")
     if not sep:
-        raise ParseError(f"endpoint without port: {token!r}", line)
+        raise ParseError(f"endpoint without port: {_quote(token)}", line)
     addr = addr.strip("[]")
     try:
         value = int(port)
     except ValueError:
-        raise ParseError(f"endpoint with non-numeric port: {token!r}", line) from None
+        raise ParseError(f"endpoint with non-numeric port: {_quote(token)}", line) from None
     if not 0 <= value <= 65535:
-        raise ParseError(f"endpoint port out of range 0..65535: {token!r}", line)
+        raise ParseError(f"endpoint port out of range 0..65535: {_quote(token)}", line)
     return addr, value
 
 
@@ -602,7 +617,7 @@ def _tshark_rows(stream: IO[str]) -> Iterator[tuple]:
 
         tokens = text.split()
         if len(tokens) < 3 or tokens[1] != "<->":
-            raise ParseError(f"unrecognized conversation line: {text!r}", lineno)
+            raise ParseError(f"unrecognized conversation line: {_quote(text)}", lineno)
         src_ip, src_port = _split_endpoint(tokens[0], lineno)
         dst_ip, dst_port = _split_endpoint(tokens[2], lineno)
 
@@ -616,23 +631,23 @@ def _tshark_rows(stream: IO[str]) -> Iterator[tuple]:
             try:
                 value = float(token.replace(",", ""))
             except ValueError:
-                raise ParseError(f"unparseable numeric token {token!r}", lineno) from None
+                raise ParseError(f"unparseable numeric token {_quote(token)}", lineno) from None
             if i + 1 < len(tail) and not _looks_numeric(tail[i + 1]):
                 suffix = tail[i + 1]
                 if suffix not in _BYTE_SUFFIXES:
-                    raise ParseError(f"unknown unit suffix {suffix!r}", lineno)
+                    raise ParseError(f"unknown unit suffix {_quote(suffix)}", lineno)
                 value *= _BYTE_SUFFIXES[suffix]
                 i += 1
             if value < 0:
-                raise ParseError(f"negative count {token!r}", lineno)
+                raise ParseError(f"negative count {_quote(token)}", lineno)
             if not value <= MAX_SIZE:
-                raise ParseError(f"count {token!r} is not a finite number up to {MAX_SIZE}", lineno)
+                raise ParseError(f"count {_quote(token)} is not a finite number up to {MAX_SIZE}", lineno)
             counts.append(int(round(value)))
             i += 1
         if counts[4] >= 1 and counts[5] < 1:
             raise ParseError("flow with packets but zero bytes", lineno)
         if len(tail) - i != 2:
-            raise ParseError(f"expected relative start and duration, got {tail[i:]!r}", lineno)
+            raise ParseError(f"expected relative start and duration, got {_quote(tail[i:])}", lineno)
         rel_start = _float_field(tail[i], "relative start", lineno)
         duration = _float_field(tail[i + 1], "duration", lineno)
         yield src_ip, src_port, dst_ip, dst_port, counts[4], counts[5], rel_start, duration, None

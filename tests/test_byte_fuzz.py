@@ -1,10 +1,10 @@
 """Byte-level fuzzing through ``main()``: a mutated input exits 0 or 2, never 1 or 3.
 
-Each input is a valid flow CSV, tshark table or KDD file with a few byte
-mutations: a bit flip, a truncation, a NUL, CR-only line ends, an invalid
-UTF-8 byte or a cell of 200,000 characters. ``score`` and ``evaluate --roc``
-must either succeed or report an input error, with no traceback and no
-output file left behind.
+Each input is either raw bytes or a valid flow CSV, tshark table or KDD file
+with a few byte mutations: a bit flip, a truncation, a NUL, CR-only line
+ends, an invalid UTF-8 byte or a cell of 200,000 characters. ``score`` and
+``evaluate --roc`` must either succeed or report an input error, with no
+traceback and no output file left behind.
 """
 
 import contextlib
@@ -52,16 +52,7 @@ mutations = st.lists(
 )
 
 
-@pytest.mark.parametrize("fmt", sorted(VALID_INPUTS))
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(edits=mutations)
-@example(edits=[("invalid-utf8", 900, 0)])
-@example(edits=[("long-cell", 900, 0)])
-@example(edits=[("cr-only", 0, 0), ("nul", 500, 0)])
-def test_mutated_input_exits_0_or_2_without_traceback_or_output(fmt, edits):
-    data = VALID_INPUTS[fmt]
-    for edit in edits:
-        data = mutate(data, *edit)
+def assert_exits_0_or_2_without_traceback_or_output(fmt, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"input.{fmt}"
         path.write_bytes(data)
@@ -76,3 +67,27 @@ def test_mutated_input_exits_0_or_2_without_traceback_or_output(fmt, edits):
                 assert list(Path(tmp).iterdir()) == [path]
             for output in Path(tmp).glob("out*"):
                 output.unlink()
+
+
+@pytest.mark.parametrize("fmt", sorted(VALID_INPUTS))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edits=mutations)
+@example(edits=[("invalid-utf8", 900, 0)])
+@example(edits=[("long-cell", 900, 0)])
+@example(edits=[("cr-only", 0, 0), ("nul", 500, 0)])
+def test_mutated_input_exits_0_or_2_without_traceback_or_output(fmt, edits):
+    data = VALID_INPUTS[fmt]
+    for edit in edits:
+        data = mutate(data, *edit)
+    assert_exits_0_or_2_without_traceback_or_output(fmt, data)
+
+
+@pytest.mark.parametrize("fmt", sorted(VALID_INPUTS))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.binary(max_size=300), keep=st.sampled_from([0, 0, 150]))
+@example(data=b"", keep=0)
+@example(data=b"\xef\xbb\xbf", keep=0)
+@example(data=b"\r\r\n\n", keep=0)
+def test_raw_bytes_exit_0_or_2_without_traceback_or_output(fmt, data, keep):
+    # keep > 0 puts the bytes after the start of a valid file, past its header.
+    assert_exits_0_or_2_without_traceback_or_output(fmt, VALID_INPUTS[fmt][:keep] + data)

@@ -302,3 +302,65 @@ def test_cr_only_line_ends_parse_alike_from_bytes_stream_and_path(tmp_path, pars
     expected = parse(path).flows
     assert len(expected) >= 2
     assert parse(data).flows == parse(io.BytesIO(data)).flows == expected
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_flow_csv, csv_text()), (parse_tshark_conversations, tshark_text()), (adapt_kdd, KDD_TEXT)],
+    ids=["csv", "tshark", "kdd"],
+)
+def test_undecodable_byte_in_bytes_names_its_line_for_every_line_end(parse, text, newline):
+    lines = text.splitlines()
+    assert len(lines) >= 3
+    offset = len(newline.join(lines[:2] + [lines[2][:3]]).encode("utf-8"))
+    data = newline.join(lines).encode("utf-8")
+    data = data[:offset] + b"\xff" + data[offset:]
+    with pytest.raises(ParseError) as info:
+        parse(data)
+    assert info.value.line == 3
+    assert str(info.value) == f"line 3: input is not UTF-8: byte 0xff at byte offset {offset}"
+
+
+#: Over-long cells: CSV cells stay under the csv module's 131,072-character field limit.
+LONG = 200_000
+
+
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [
+        pytest.param(
+            "csv", csv_text(bytes_total="9" * 100_000), "line 2: field bytes_total is not an integer:", id="csv-int"
+        ),
+        pytest.param(
+            "csv", csv_text(start="x" * 100_000), "line 2: field rel_start_s is not a number:", id="csv-float"
+        ),
+        pytest.param(
+            "csv",
+            CSV_HEADER + "a" * 100_000 + CSV_ROW[8:].format(packets=3, bytes=180, start=0.5, duration=1.0),
+            "line 2: field src_ip is not an IP address:",
+            id="csv-address",
+        ),
+        pytest.param("tshark", tshark_text(bytes_total="9" * LONG), "line 4: count '999", id="tshark-count"),
+        pytest.param(
+            "tshark", tshark_text(bytes_total="1 " + "x" * LONG), "line 4: unknown unit suffix", id="tshark-unit"
+        ),
+        pytest.param(
+            "tshark",
+            TSHARK_HEADER + "a" * LONG + " x <-> b\n",
+            "line 4: unrecognized conversation line:",
+            id="tshark-line",
+        ),
+        pytest.param(
+            "kdd",
+            KDD_NORMAL.format(src="9" * LONG, dst=20) + KDD_ATTACK,
+            "line 1: field src_bytes is not an integer:",
+            id="kdd-bytes",
+        ),
+    ],
+)
+def test_over_long_cell_gives_a_short_error_naming_field_and_line(tmp_path, capsys, fmt, text, message):
+    code, err = run_score(tmp_path, capsys, f"input.{fmt}", text, fmt)
+    assert code == 2
+    assert err.startswith(f"flowdigits: input error: {message}")
+    assert len(err) < 300 and " characters)" in err

@@ -1,9 +1,10 @@
-"""Differential tests of the row-wise scoring kernel and the array ROC.
+"""Differential tests of the row-wise scoring kernel, the array ROC and the grid AUCs.
 
 The references below score one window at a time with one ``np.sum`` per
 metric, and walk a sorted() list of (score, truth) tuples for the ROC. The
 array code must reproduce them bit for bit, so scores are compared through
-their int64 bit patterns rather than by value.
+their int64 bit patterns rather than by value. Every grid cell must equal
+the per-cell ROC AUC and the pairwise oracle exactly.
 """
 
 import math
@@ -17,18 +18,20 @@ from flowdigits import (
     DigitDistribution,
     FlowDataset,
     KldParams,
+    LabelingRule,
     SimilarityMetric,
     WindowSpec,
     ZeroPolicy,
     benford_reference,
     compute,
+    grid_evaluate,
     roc_auc,
     run_detector,
     window_differences,
     windows,
 )
-from flowdigits.detector import _count_scores
-from flowdigits.evaluation import roc_curve
+from flowdigits.detector import OrderedFlows, _count_scores, window_arrays
+from flowdigits.evaluation import _threshold_aucs, roc_curve
 from flowdigits.ingest import MAX_SIZE
 from flowdigits.similarity import DIVERGENCES
 from oracles import auc_pairwise
@@ -307,3 +310,85 @@ def test_array_roc_equals_sorted_reference_and_pairwise_oracle(pairs):
     assert [tuple(map(float.hex, p)) for p in curve.points] == [tuple(map(float.hex, p)) for p in want_points]
     assert curve.auc == want_auc == auc_pairwise(scores, truths)
     assert roc_auc(pairs) == curve
+
+
+# -- grid AUCs ----------------------------------------------------------------------
+
+
+def per_cell_auc(scores, truths):
+    """roc_curve's AUC of one cell, checked against the pairwise oracle; None when single-class."""
+    if truths.all() or not truths.any():
+        return None
+    auc = roc_curve(scores, truths).auc
+    assert auc == auc_pairwise(scores.tolist(), truths.tolist())
+    return auc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(SCORES, st.integers(0, 4)), min_size=1, max_size=60),
+    thresholds=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+)
+def test_threshold_aucs_equal_per_threshold_roc_and_pairwise_oracle(rows, thresholds):
+    scores = np.array([s for s, _ in rows])
+    counts = np.array([c for _, c in rows], dtype=np.int64)
+    want = [per_cell_auc(scores, (counts >= t).astype(np.int64)) for t in thresholds]
+    assert _threshold_aucs(scores, counts, thresholds) == want
+
+
+#: Flow sizes with many equal values: tied scores, and zero differences that
+#: leave windows without a histogram under SKIP_ZEROS (INVALID_SCORE).
+TIED_SIZES = st.one_of(
+    st.lists(st.sampled_from([7, 100, 1500, 20_000]), min_size=8, max_size=90),
+    st.integers(8, 90).map(lambda n: [1500] * n),
+    st.lists(st.one_of(st.integers(1, 10**6), st.just(1500)), min_size=8, max_size=90),
+)
+LABELINGS = st.lists(
+    st.one_of(
+        st.one_of(st.integers(1, 4), st.integers(1, 100)).map(lambda t: LabelingRule(absolute=t)),
+        st.sampled_from([0.01, 0.1, 0.25, 0.5, 0.9, 1.0]).map(lambda t: LabelingRule(relative=t)),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=TIED_SIZES,
+    data=st.data(),
+    policy=st.sampled_from(list(ZeroPolicy)),
+    labelings=LABELINGS,
+)
+def test_grid_cells_equal_per_cell_roc_and_pairwise_oracle(sizes, data, policy, labelings):
+    n = len(sizes)
+    labels = data.draw(
+        st.one_of(st.lists(st.integers(0, 1), min_size=n, max_size=n), st.sampled_from([[0] * n, [1] * n])),
+        label="labels",
+    )
+    w_grid = data.draw(
+        st.lists(st.one_of(st.integers(2, 8), st.integers(2, n + 1)), min_size=1, max_size=3), label="w_grid"
+    )
+    step = data.draw(st.one_of(st.none(), st.integers(1, min(w_grid))), label="step")
+    dataset = FlowDataset(
+        flows=tuple(make_flow(i, bytes_total=v, label=y) for i, (v, y) in enumerate(zip(sizes, labels))),
+        labeled=True,
+    )
+    base = DetectorConfig(window=WindowSpec(2), zero_policy=policy)
+    metrics = list(SimilarityMetric)
+    result = grid_evaluate(dataset, base, w_grid, labelings, metrics, step=step)
+
+    flows = OrderedFlows(dataset, base)
+    want = []
+    for w in w_grid:
+        for labeling in labelings:
+            for metric in metrics:
+                coords = (w, labeling.describe(), metric.value)
+                if w > n:
+                    want.append((coords, None, "insufficient flows"))
+                    continue
+                config = DetectorConfig(window=WindowSpec(w, step), metric=metric, zero_policy=policy)
+                starts, scores, _, _ = window_arrays(flows, config)
+                auc = per_cell_auc(scores, flows.truths(starts, w, labeling))
+                want.append((coords, auc, None if auc is not None else "degenerate labels"))
+    assert [(c.coords, c.value, c.reason) for c in result.cells] == want
