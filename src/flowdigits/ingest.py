@@ -4,9 +4,11 @@ Three input formats produce the same in-memory dataset: the canonical flow
 CSV (this package's interchange format), the plain-text TCP conversation
 table printed by ``tshark -r <pcap> -q -z conv,tcp``, and KDD Cup 1999
 connection records. Parsing is single-pass streaming and appends rows to
-the table a chunk at a time. The flow CSV converts each chunk column-wise;
-tshark and KDD convert and check each row as they read it. Input that is
-not UTF-8, or a CSV cell over the ``csv`` field limit, is a ParseError.
+the table a chunk at a time. The flow CSV and KDD records convert each
+chunk column-wise, and a chunk that fails a check is read again row by
+row, which raises at its first bad row; tshark converts and checks each
+row as it reads it. Input that is not UTF-8, a truncated or corrupt gzip
+file, or a CSV cell over the ``csv`` field limit, is a ParseError.
 
 A dataset is a columnar flow table: one numpy array per flow field, where
 row i describes the i-th flow in dataset order.
@@ -42,10 +44,12 @@ import io
 import ipaddress
 import math
 import re
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -357,7 +361,8 @@ def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
     transparently. A caller's stream is never closed: a binary one is read
     through a wrapper that is detached from it afterwards. Bytes that are
     not UTF-8 raise a ParseError with their byte offset, and for ``bytes``
-    input with their line.
+    input with their line. So does a truncated or corrupt gzip stream, with
+    the offset up to which it decompressed.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -379,6 +384,10 @@ def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
             # The wrapper decodes the bytes it last read, which end at the stream's tell().
             offset = source.tell() - len(exc.object) + exc.start if binary and source.seekable() else None
             raise _undecodable(exc, offset) from None
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            offset = source.tell() if binary and source.seekable() else None
+            at = "" if offset is None else f" after byte offset {offset}"
+            raise ParseError(f"compressed input is truncated or corrupt{at}: {exc}") from None
         finally:
             if binary:
                 stream.detach()
@@ -681,24 +690,82 @@ def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | N
     only). The class label maps to 0 for "normal." and 1 for everything
     else; a trailing dot on the class is optional. ``max_flows`` truncates
     the dataset after that many TCP flows (for desk-scale runs).
+
+    Lines are converted a block at a time, column-wise: each line is split
+    up to its byte counts, the byte counts of the TCP rows are converted
+    and checked as arrays, and the class is the line's last cell. A block
+    that holds a quote, a CR, a short or blank line, or a byte count that
+    is not a non-negative integer or overflows the sum, is read row by row
+    instead, which raises at its first bad line with that line's number.
     """
     if max_flows is not None and max_flows < 1:
         raise ValueError(f"max_flows must be at least 1, got {max_flows}")
-    table = _TableBuilder()
-    table.codes(["0.0.0.0"], validate=False)  # the placeholder endpoint, also in an empty file's table
+    sizes, labels = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int8)]
     with _open_text(source) as stream:
-        table.add_rows(_kdd_rows(stream, max_flows))
-    return table.dataset(labeled=True, source_name=source_name)
+        lineno, kept = 1, 0
+        while kept != max_flows:
+            # A line holds at most one record, so a block ends at the
+            # max_flows-th TCP row at the latest: no line after it is read.
+            limit = _CHUNK_ROWS if max_flows is None else min(_CHUNK_ROWS, max_flows - kept)
+            lines: list[str] = []
+            try:
+                for line in islice(stream, limit):
+                    lines.append(line)
+            finally:
+                # Converted also when reading raises, so that a bad line read
+                # before the failing one raises first.
+                if lines:
+                    block_sizes, block_labels = _kdd_block(lines) or _kdd_rows(lines, lineno)
+                    sizes.append(block_sizes)
+                    labels.append(block_labels)
+                    lineno += len(lines)
+                    kept += len(block_sizes)
+            if len(lines) < limit:
+                break
+    # The other columns are constant: placeholder endpoints (code 0) and ports, no packets, no duration.
+    columns = {name: np.zeros(kept, dtype=dtype) for name, dtype in _COLUMN_TYPES.items()}
+    columns.update(
+        bytes_total=np.concatenate(sizes),
+        label=np.concatenate(labels),
+        rel_start=np.arange(kept, dtype=np.float64),
+        seq_no=np.arange(kept),
+    )
+    return FlowDataset._from_columns(columns, ("0.0.0.0",), labeled=True, source_name=source_name)
 
 
-def _kdd_rows(stream: IO[str], max_flows: int | None) -> Iterator[tuple]:
-    """FlowRecord field values from src_ip to label of the TCP records, up to max_flows of them.
+def _kdd_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """(bytes_total, label) of the TCP records among the lines, column-wise; None if a check fails."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text:
+        return None
+    heads = [line.split(",", 6) for line in lines]
+    try:
+        # Cells 6 to the last: at least 42 fields in all.
+        if min([head[6].count(",") for head in heads]) < 35:
+            return None
+    except IndexError:  # a line of fewer than 7 fields, or a blank one
+        return None
+    tcp_names = {name for name in {head[1] for head in heads} if name.strip().lower() == "tcp"}
+    tcp = [head for head in heads if head[1] in tcp_names]
+    try:
+        src, dst = _ints([head[4] for head in tcp]), _ints([head[5] for head in tcp])
+    except (ValueError, OverflowError):
+        return None
+    if not ((src >= 0) & (dst >= 0)).all() or not (src <= MAX_SIZE - dst).all():
+        return None
+    classes = [head[6].rpartition(",")[2] for head in tcp]
+    normal = {cls for cls in set(classes) if cls.strip().rstrip(".") == "normal"}
+    return src + dst, np.array([cls not in normal for cls in classes], dtype=np.int8)
+
+
+def _kdd_rows(lines: list[str], lineno: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bytes_total, label) of the TCP records among the lines, row by row; ``lineno`` numbers the first line.
 
     Lines are split on commas. A line with a quote, or with a CR that a text
     stream split on LF alone left in it, is read by ``csv.reader``.
     """
-    kept = 0
-    for lineno, line in enumerate(stream, start=1):
+    sizes, labels = [], []
+    for lineno, line in enumerate(lines, start=lineno):
         line = line.rstrip("\r\n")
         if not line:
             continue
@@ -713,11 +780,9 @@ def _kdd_rows(stream: IO[str], max_flows: int | None) -> Iterator[tuple]:
             raise ParseError(f"expected at least 42 fields, got {len(row)}", lineno)
         if row[1].strip().lower() != "tcp":
             continue
-        label = 0 if row[-1].strip().rstrip(".") == "normal" else 1
-        yield "0.0.0.0", 0, "0.0.0.0", 0, None, _kdd_size(row[4], row[5], lineno), kept, 0.0, label
-        kept += 1
-        if kept == max_flows:
-            return
+        sizes.append(_kdd_size(row[4], row[5], lineno))
+        labels.append(0 if row[-1].strip().rstrip(".") == "normal" else 1)
+    return np.array(sizes, dtype=np.int64), np.array(labels, dtype=np.int8)
 
 
 def flow_order(dataset: FlowDataset, scheme: OrderingScheme) -> np.ndarray:

@@ -445,8 +445,8 @@ def test_bad_row_in_an_earlier_chunk_position_wins_over_a_later_bad_line():
         parse_flow_csv(io.StringIO(text))
 
 
-def kdd_line(service="http", src_bytes="10", cls="normal."):
-    return ",".join(["0", "tcp", service, "SF", src_bytes, "20"] + ["0"] * 35 + [cls])
+def kdd_line(service="http", src_bytes="10", cls="normal.", protocol="tcp"):
+    return ",".join(["0", protocol, service, "SF", src_bytes, "20"] + ["0"] * 35 + [cls])
 
 
 KDD_LINES = [kdd_line(), kdd_line(cls="neptune."), kdd_line(src_bytes="7")]
@@ -490,6 +490,74 @@ def test_adapt_kdd_overlong_cell_is_a_parse_error_naming_its_line(cells, message
     with pytest.raises(ParseError) as info:
         adapt_kdd(io.StringIO(text))
     assert info.value.line == 2 and str(info.value).startswith(message) and len(str(info.value)) < 300
+
+
+well_formed_kdd_lines = st.builds(
+    kdd_line,
+    protocol=st.sampled_from(["tcp", "tcp", "tcp", "udp", "icmp"]),
+    src_bytes=st.integers(0, 10**6).map(str),
+    cls=st.sampled_from(["normal.", "neptune.", "back."]),
+)
+
+#: Lines unlike the well-formed ones, which a block must still read as the row-wise reference does; dst_bytes is 20.
+IRREGULAR_KDD_LINES = (
+    kdd_line(service='"ht,tp"'),
+    kdd_line(service='"ht\rtp"'),
+    kdd_line() + "\r",
+    kdd_line(protocol=" TCP "),
+    kdd_line(cls="normal.."),
+    kdd_line(cls=" normal. "),
+    kdd_line(src_bytes="1_000"),
+    kdd_line(src_bytes=" 15 "),
+    kdd_line(src_bytes="٣"),
+    kdd_line(src_bytes="\x1c15"),
+    kdd_line(src_bytes=str(MAX_SIZE - 20)),
+    kdd_line(src_bytes=str(MAX_SIZE - 19)),
+    kdd_line(src_bytes="-1"),
+    ",".join(kdd_line().split(",")[:41]),
+    "",
+)
+
+
+@FUZZ
+@given(
+    lines=st.lists(well_formed_kdd_lines, max_size=20),
+    irregular=st.sampled_from(IRREGULAR_KDD_LINES),
+    data=st.data(),
+    chunk_rows=st.integers(2, 7),
+)
+def test_adapt_kdd_blocks_with_one_irregular_line_match_rowwise_reference(lines, irregular, data, chunk_rows):
+    lines.insert(data.draw(st.integers(0, len(lines)), label="at"), irregular)
+    max_flows = data.draw(st.sampled_from([None, 1, data.draw(st.integers(1, len(lines)), label="k")]))
+    text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
+    got = outcome(lambda source: adapt_kdd(source, max_flows=max_flows), text, chunk_rows)
+    assert got == ref_outcome(lambda source: ref_adapt_kdd(source, max_flows=max_flows), text)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 4096])
+def test_adapt_kdd_unquoted_lone_cr_is_a_parse_error_naming_its_line(chunk_rows):
+    # A text stream split on LF alone leaves the CR in the line; csv.reader refuses it unquoted.
+    text = "\n".join([*KDD_LINES, kdd_line(service="ht\rtp"), *KDD_LINES]) + "\n"
+    kind, message, line = outcome(adapt_kdd, text, chunk_rows)
+    assert (kind, line) == (ParseError, 4) and message.startswith("line 4: new-line character seen in unquoted field")
+
+
+def refuse_rows(*args, **kwargs):
+    raise AssertionError("a line was read row by row")
+
+
+@pytest.mark.parametrize("max_flows", [None, 1, 700, 1199, 5000])
+def test_adapt_kdd_reads_a_plain_file_column_wise(tmp_path, max_flows):
+    protocols, classes = ("tcp", "tcp", "tcp", "udp"), ("normal.", "smurf.")
+    lines = [
+        kdd_line(protocol=protocols[i % 4], src_bytes=str(37 * i % 1000), cls=classes[i % 3 == 0]) for i in range(1600)
+    ]
+    path = tmp_path / "kddcup.data"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(ingest, "_kdd_size", refuse_rows):
+        dataset = adapt_kdd(path, max_flows=max_flows)
+    assert (dataset.flows, dataset.labeled) == ref_adapt_kdd(path, max_flows=max_flows)
+    assert len(dataset) == min(1200, max_flows or 1200)
 
 
 # -- address fast path ----------------------------------------------------------------

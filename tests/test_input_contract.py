@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from flowdigits import KldParams, ParseError, adapt_kdd, parse_flow_csv, parse_tshark_conversations
+from flowdigits import KldParams, ParseError, adapt_kdd, ingest, parse_flow_csv, parse_tshark_conversations
 from flowdigits.cli import DEFAULT_SWEEP_GRID, main
 from test_cli import KDD_ATTACK, KDD_NORMAL, kdd_sample_text
 
@@ -364,3 +364,86 @@ def test_over_long_cell_gives_a_short_error_naming_field_and_line(tmp_path, caps
     assert code == 2
     assert err.startswith(f"flowdigits: input error: {message}")
     assert len(err) < 300 and " characters)" in err
+
+
+#: Inputs long enough that a gzip stream cut in half still holds whole lines.
+LONG_TEXTS = {
+    "csv": CSV_HEADER + "".join(CSV_ROW.format(packets=3, bytes=i, start=i, duration=1) for i in range(1, 2000)),
+    "tshark": TSHARK_HEADER
+    + "".join(TSHARK_ROW.format(frames=2, bytes=i, start=i, duration=1) for i in range(1, 2000)),
+    "kdd": kdd_sample_text(),
+}
+
+
+def damaged_gzip(data, damage):
+    """``data`` gzipped, then cut in half or followed by a second member that cannot be decompressed."""
+    packed = gzip.compress(data, mtime=0)
+    if damage == "truncated":
+        return packed[: len(packed) // 2]
+    member = bytearray(packed)
+    member[10] |= 0b110  # after the 10-byte header, deflate block type 3, which is reserved
+    return packed + bytes(member)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("fmt", sorted(LONG_TEXTS))
+@pytest.mark.parametrize("command", [["score"], ["evaluate", "--roc", *LABELING]], ids=["score", "roc"])
+def test_truncated_or_corrupt_gzip_input_is_an_input_error(tmp_path, capsys, fmt, damage, command):
+    data = LONG_TEXTS[fmt].encode("utf-8")
+    path = tmp_path / f"input.{fmt}.gz"
+    path.write_bytes(damaged_gzip(data, damage))
+    argv = [command[0], "--format", fmt, "--window", "2", *command[1:], str(path), "-o", str(tmp_path / "out.csv")]
+    got = main(argv)
+    err = capsys.readouterr().err
+    assert (got, "Traceback" in err) == (2, False)
+    assert err.startswith("flowdigits: input error: compressed input is truncated or corrupt after byte offset ")
+    if damage == "corrupt":  # the whole first member was read
+        assert f" after byte offset {len(data)}: " in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def kdd_source(tmp_path, via, data, read_error=None):
+    """KDD bytes as a path or a binary stream, with a read error at their end: a 0xff byte or a cut gzip stream."""
+    if read_error == "undecodable":
+        data += b"\xff" + KDD_TEXT.encode("utf-8")
+    elif read_error == "truncated-gzip":
+        data = gzip.compress(data + KDD_TEXT.encode("utf-8"), mtime=0)
+        data = data[: len(data) * 9 // 10]
+    if via == "stream":
+        return gzip.GzipFile(fileobj=io.BytesIO(data)) if read_error == "truncated-gzip" else io.BytesIO(data)
+    path = tmp_path / ("kdd.csv.gz" if read_error == "truncated-gzip" else "kdd.csv")
+    path.write_bytes(data)
+    return path
+
+
+READ_ERRORS = {"undecodable": "input is not UTF-8", "truncated-gzip": "compressed input is truncated or corrupt"}
+BAD_KDD_LINES = {"short-row": "0,tcp,http\n", "bad-bytes": KDD_NORMAL.format(src="x", dst=20)}
+
+
+@pytest.mark.parametrize("via", ["path", "stream"])
+@pytest.mark.parametrize("read_error", sorted(READ_ERRORS))
+@pytest.mark.parametrize("bad", sorted(BAD_KDD_LINES))
+def test_bad_kdd_line_raises_before_a_later_read_error_in_its_block(tmp_path, via, read_error, bad):
+    head = kdd_sample_text(n_normal=2, n_attack=0)
+    # Over 8 KiB of lines between the bad line and the read error, which the
+    # text reader decodes in a later read, but fewer than a block of lines.
+    tail = kdd_sample_text(n_normal=300, n_attack=300)
+    assert len(tail) > 8192 and head.count("\n") + tail.count("\n") < ingest._CHUNK_ROWS
+    with pytest.raises(ParseError) as info:
+        adapt_kdd(kdd_source(tmp_path, via, (head + BAD_KDD_LINES[bad] + tail).encode("utf-8"), read_error))
+    assert info.value.line == 3
+    assert READ_ERRORS[read_error] not in str(info.value)
+    with pytest.raises(ParseError, match=READ_ERRORS[read_error]):  # without the bad line
+        adapt_kdd(kdd_source(tmp_path, via, (head + tail).encode("utf-8"), read_error))
+
+
+@pytest.mark.parametrize("via", ["path", "stream"])
+@pytest.mark.parametrize("after", [*sorted(BAD_KDD_LINES), *sorted(READ_ERRORS)])
+def test_nothing_after_the_max_flows_cut_off_is_checked(tmp_path, via, after):
+    head = kdd_sample_text(n_normal=3, n_attack=3)
+    if after in BAD_KDD_LINES:
+        source = kdd_source(tmp_path, via, (head + BAD_KDD_LINES[after] + KDD_TEXT).encode("utf-8"))
+    else:  # over 8 KiB after the cut-off, so the text reader never decodes that far
+        source = kdd_source(tmp_path, via, (head + kdd_sample_text(n_normal=300, n_attack=0)).encode("utf-8"), after)
+    dataset = adapt_kdd(source, max_flows=6)
+    assert dataset.flows == adapt_kdd(head.encode("utf-8")).flows
