@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import IO, Callable
 
@@ -235,12 +236,16 @@ def cmd_evaluate(args) -> int:
         metric_set,
         step=args.step,
     )
-    output = args.output or "sweep.csv"
-    _write_output(output, lambda h: write_sweep_csv(result, h), "evaluate", _config_dict(config, args.step), args.input)
     best = result.best()
     if best is None:
+        # Nothing is written: stdout keeps its summary line, stderr says why each cell is absent.
         print("no evaluable grid cells (all degenerate)")
-        return 2
+        reasons = Counter(cell.reason for cell in result.cells)
+        raise DegenerateLabelsError(
+            "no evaluable grid cells: " + ", ".join(f"{n} with {reason}" for reason, n in sorted(reasons.items()))
+        )
+    output = args.output or "sweep.csv"
+    _write_output(output, lambda h: write_sweep_csv(result, h), "evaluate", _config_dict(config, args.step), args.input)
     coords = dict(zip(result.axes, best.coords))
     print(
         f"best auc={best.value:.9f} at w={coords['w']} labeling={coords['labeling']} "

@@ -24,6 +24,9 @@ NOMINAL_PACKET_BYTES = 500
 #: Spacing of consecutive flow start times, seconds.
 START_SPACING_S = 0.05
 
+#: The decimal text of each octet value.
+_OCTET_NAMES = tuple(map(str, range(256)))
+
 
 @dataclass(frozen=True)
 class ConstantSize:
@@ -160,7 +163,7 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
         dst_ports[span] = int(rng.integers(1, 65536))
 
     distinct, codes = np.unique(np.concatenate((src_ips, dst_ips)), return_inverse=True)
-    octets = [(distinct >> shift & 255).tolist() for shift in (24, 16, 8, 0)]
+    octets = [map(_OCTET_NAMES.__getitem__, (distinct >> shift & 255).tolist()) for shift in (24, 16, 8, 0)]
     return FlowDataset._from_columns(
         {
             "bytes_total": sizes,
@@ -175,7 +178,8 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
             "src_code": codes[:total].astype(np.int32),
             "dst_code": codes[total:].astype(np.int32),
         },
-        tuple(f"{a}.{b}.{c}.{d}" for a, b, c, d in zip(*octets)),
+        tuple(map(".".join, zip(*octets))),
+        distinct.astype(np.uint32),
         labeled=True,
         source_name=f"synthetic(seed={spec.seed})",
     )

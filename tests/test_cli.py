@@ -219,6 +219,22 @@ def test_evaluate_degenerate_labels_exit_2(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().out
 
 
+def test_evaluate_grid_without_an_evaluable_cell_writes_nothing(tmp_path, capsys):
+    kdd = tmp_path / "kdd.csv"
+    kdd.write_text(kdd_sample_text(n_normal=900, n_attack=300))
+    out = tmp_path / "sweep.csv"
+    argv = [
+        "evaluate", "--format", "kdd", "--windows", "100,1000", "--tl", "0.1,0.2",
+        "--max-flows", "777", str(kdd), "-o", str(out),
+    ]
+    assert main(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kdd.csv"]
+    err = capsys.readouterr().err
+    assert err == (
+        "flowdigits: input error: no evaluable grid cells: 2 with degenerate labels, 2 with insufficient flows\n"
+    )
+
+
 def test_evaluate_roc_mode(tmp_path, capsys):
     synth = generate_synth(tmp_path)
     out = tmp_path / "roc.csv"

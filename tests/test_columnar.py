@@ -33,7 +33,7 @@ from flowdigits import (
     parse_tshark_conversations,
     run_detector,
 )
-from flowdigits import ingest
+from flowdigits import ingest, textblock
 from flowdigits.cli import main
 from flowdigits.detector import OrderedFlows
 from flowdigits.ingest import CSV_COLUMNS, MAX_SIZE, FlowRecord, _open_text
@@ -432,6 +432,79 @@ def test_adapt_kdd_matches_rowwise_reference(text, chunk_rows, max_flows):
     assert got == ref_outcome(lambda source: ref_adapt_kdd(source, max_flows=max_flows), text)
 
 
+def flow_csv_line(i, has_label):
+    """A valid flow CSV row, varied by i: IPv4 and IPv6 endpoints, some without a packet count."""
+    cells = [
+        f"10.{i % 3}.{i % 7}.{i % 5}",
+        str(1000 + i % 3),
+        f"2001:db8::{i % 4:x}" if i % 2 else f"192.168.{i % 11}.1",
+        "80",
+        "" if i % 13 == 0 else str(1 + i % 9),
+        str(100 + 37 * i % 1000),
+        repr(i * 0.5),
+        "1.0",
+    ]
+    return ",".join(cells + [str(int(i % 10 < 3))] * has_label)
+
+
+#: Rows that csv.reader does not read as one line split on every comma, or that fail a check; label cell added.
+IRREGULAR_CSV_ROWS = {
+    "quoted": '"10.0.0.1",1,"10.0.0.2",2,3,40,0.5,1.0',
+    "quoted-multi-line": '10.0.0.1,1,10.0.0.2,2,3,40,0.5,"1.0\n"',
+    "blank": None,
+    "over-long": " " * 70_000 + "10.0.0.1,1,10.0.0.2" + " " * 70_000 + ",2,3,40,0.5,1.0",
+    "over-limit-cell": " " * 140_000 + "10.0.0.1,1,10.0.0.2,2,3,40,0.5,1.0",
+    "short": "10.0.0.1,1",
+    "zero-bytes": "10.0.0.1,1,10.0.0.2,2,1,0,0.5,1.0",
+    "bom": "\ufeff10.0.0.1,1,10.0.0.2,2,3,40,0.5,1.0",
+    "nul": "10.0.0.1,1,10.0.0.2,2,3,40,0.5\0,1.0",
+}
+
+
+@FUZZ
+@given(
+    n=st.integers(0, 12),
+    first=st.integers(0, 100),
+    has_label=st.booleans(),
+    kind=st.sampled_from(sorted(IRREGULAR_CSV_ROWS)),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_newline=st.booleans(),
+    bom=st.booleans(),
+    source=st.sampled_from([io.StringIO, bytes, io.BytesIO]),
+    chunk_rows=st.integers(1, 4),
+    data=st.data(),
+)
+def test_parse_flow_csv_plain_blocks_before_an_irregular_line_match_rowwise_reference(
+    n, first, has_label, kind, newline, final_newline, bom, source, chunk_rows, data
+):
+    lines = [",".join(CSV_COLUMNS + ("label",) * has_label)]
+    lines += [flow_csv_line(first + i, has_label) for i in range(n)]
+    irregular = IRREGULAR_CSV_ROWS[kind]
+    irregular = "" if irregular is None else irregular + ",1" * has_label
+    lines.insert(data.draw(st.integers(1, len(lines)), label="at"), irregular)
+    text = "\ufeff" * bom + newline.join(lines) + newline * final_newline
+
+    def make():
+        return io.StringIO(text) if source is io.StringIO else source(text.encode())
+
+    def run(parse):
+        try:
+            result = parse(make())
+        except ParseError as exc:
+            return type(exc), str(exc), exc.line
+        except csv.Error as exc:  # the reference lets it escape; it is a ParseError on the reader's line
+            with _open_text(make()) as stream:
+                reader = csv.reader(stream)
+                with pytest.raises(csv.Error):
+                    list(reader)
+            return ParseError, f"line {reader.line_num}: {exc}", reader.line_num
+        return (result.flows, result.labeled) if isinstance(result, FlowDataset) else result
+
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        got = run(parse_flow_csv)
+    assert got == run(ref_parse_flow_csv)
+
+
 def test_tshark_port_outside_0_to_65535_is_a_parse_error():
     text = "TCP Conversations\n1.2.3.4:70000 <-> 5.6.7.8:80 1 60 1 60 2 120 0.0 1.0\n"
     with pytest.raises(ParseError, match="line 2: endpoint port out of range 0..65535: '1.2.3.4:70000'"):
@@ -560,6 +633,17 @@ def test_adapt_kdd_reads_a_plain_file_column_wise(tmp_path, max_flows):
     assert len(dataset) == min(1200, max_flows or 1200)
 
 
+def test_adapt_kdd_reads_a_crlf_file_column_wise(tmp_path):
+    lines = [kdd_line(src_bytes=str(37 * i % 1000), cls=("normal.", "smurf.")[i % 3 == 0]) for i in range(1500)]
+    (tmp_path / "lf.data").write_bytes(("\n".join(lines) + "\n").encode())
+    (tmp_path / "crlf.data").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    with mock.patch.object(ingest, "_kdd_rows", refuse_rows):
+        crlf = adapt_kdd(tmp_path / "crlf.data")
+    lf = adapt_kdd(tmp_path / "lf.data")
+    for name in ingest._COLUMN_TYPES:
+        assert np.array_equal(getattr(crlf, name), getattr(lf, name)), name
+
+
 # -- address fast path ----------------------------------------------------------------
 
 
@@ -607,6 +691,72 @@ def test_ipv4_fast_path_accepts_exactly_what_ipaddress_accepts(octets):
     assert ingest._is_address(text) == ref_is_address(text)
 
 
+def ref_ipv4_value(text):
+    """The address's 32-bit number if ipaddress accepts it and inet_aton packs it (IPv4), else None."""
+    if not ref_is_address(text):
+        return None
+    try:
+        return int.from_bytes(socket.inet_aton(text), "big")
+    except (OSError, ValueError):
+        return None
+
+
+dotted_quads = st.tuples(*[st.integers(0, 255)] * 4).map(lambda octets: ".".join(map(str, octets)))
+#: Octets that break a dotted quad, and the edge values that do not.
+OCTET_MUTANTS = (
+    "00", "01", "007", "256", "999", "1000", "1234", "", "٣", "1٣",
+    " 1", "1 ", "+1", "-1", "1\n", "0x1", "0", "255",
+)
+
+
+@st.composite
+def mutated_quads(draw):
+    """A dotted quad of 3 to 5 octets, one of them drawn from OCTET_MUTANTS."""
+    octets = [str(draw(st.integers(0, 255))) for _ in range(draw(st.sampled_from([3, 4, 4, 4, 5])))]
+    octets[draw(st.integers(0, len(octets) - 1))] = draw(st.sampled_from(OCTET_MUTANTS))
+    return ".".join(octets)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    texts=st.lists(dotted_quads, max_size=6),
+    odd=st.one_of(mutated_quads(), mutated_quads(), st.text(max_size=16)),
+    data=st.data(),
+)
+def test_ipv4_values_match_ipaddress_and_inet_aton(texts, odd, data):
+    if data.draw(st.booleans(), label="with odd"):
+        texts.insert(data.draw(st.integers(0, len(texts)), label="at"), odd)
+    expected = [ref_ipv4_value(text) for text in texts]
+    values = textblock.ipv4_values(texts)
+    if None in expected:
+        assert values is None
+    else:
+        assert values.dtype == np.uint32 and values.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["1.2.3.1234"],
+        ["1.2.3.256"],
+        ["0..1.2"],
+        ["1..2.3", "1.2.3.4"],
+        ["1.2.3.04"],
+        ["1.2.3.4.5", "1.2.3"],
+        ["1.2.3", "4.5.6.7.8"],
+        ["1.2.3.4/", "1.2.3.4"],
+        ["0.0.0.0", "255.255.255.255", "9.10.99.100"],
+        [],
+    ],
+)
+def test_ipv4_values_of_edge_batches(texts):
+    expected = [ref_ipv4_value(text) for text in texts]
+    values = textblock.ipv4_values(texts)
+    assert (values is None) == (None in expected)
+    if values is not None:
+        assert values.tolist() == expected
+
+
 # -- ordering property ----------------------------------------------------------------
 
 flow_records = st.builds(
@@ -631,6 +781,69 @@ def test_order_flows_matches_sorted_reference(flows, scheme):
     ordered = order_flows(dataset, scheme)
     assert ordered.flows == tuple(sorted(flows, key=REF_KEYS[scheme]))
     assert order_flows(ordered, scheme).flows == ordered.flows
+
+
+# -- writer property --------------------------------------------------------------------
+
+
+def ref_write_flow_csv(dataset):
+    """The flow CSV as csv.writer writes it, one FlowRecord at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    with_label = dataset.labeled or any(f.label is not None for f in dataset.flows)
+    writer.writerow(CSV_COLUMNS + ("label",) * with_label)
+    for f in dataset.flows:
+        row = [f.src_ip, f.src_port, f.dst_ip, f.dst_port, f.packets_total, f.bytes_total, f.rel_start, f.duration]
+        writer.writerow(["" if v is None else v for v in row + [f.label] * with_label])
+    return buffer.getvalue()
+
+
+#: tshark endpoints are whitespace-free tokens, so a resolved hostname may hold a comma or a quote.
+TSHARK_HOSTS = ("10.0.0.1", "2001:db8::1", "host,one", 'say"hi"', '"a,b"', "x\ry", "plain.example")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flows=st.lists(
+        st.builds(
+            FlowRecord,
+            src_ip=st.sampled_from(TSHARK_HOSTS),
+            src_port=st.integers(0, 65535),
+            dst_ip=st.sampled_from(TSHARK_HOSTS),
+            dst_port=st.integers(0, 65535),
+            packets_total=st.one_of(st.none(), st.integers(0, MAX_SIZE)),
+            bytes_total=st.integers(0, MAX_SIZE),
+            rel_start=st.floats(allow_nan=False),
+            duration=st.one_of(st.floats(0, 1e9), st.just(-0.0)),
+            label=st.one_of(st.none(), st.integers(0, 1)),
+            seq_no=st.integers(0, 10),
+        ),
+        max_size=12,
+    ),
+    chunk_rows=chunk_sizes,
+)
+def test_write_flow_csv_matches_csv_writer(flows, chunk_rows):
+    dataset = FlowDataset(flows, labeled=bool(flows) and all(f.label is not None for f in flows))
+    sink = io.StringIO()
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        ingest.write_flow_csv(dataset, sink)
+    assert sink.getvalue() == ref_write_flow_csv(dataset)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+def test_write_flow_csv_of_tshark_hostnames_matches_csv_writer(chunk_rows):
+    pairs = zip(TSHARK_HOSTS, TSHARK_HOSTS[1:] + TSHARK_HOSTS[:1])
+    text = "TCP Conversations\n" + "".join(
+        f"{src}:{i} <-> {dst}:80 1 60 2 120 3 180 {i}.5 1.0\n"
+        for i, (src, dst) in enumerate(pairs)
+        if "\r" not in src + dst
+    )
+    dataset = parse_tshark_conversations(io.StringIO(text))
+    sink = io.StringIO()
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        ingest.write_flow_csv(dataset, sink)
+    assert sink.getvalue() == ref_write_flow_csv(dataset)
+    assert '"host,one"' in sink.getvalue() and '"say""hi"""' in sink.getvalue()
 
 
 # -- window-count property ------------------------------------------------------------
@@ -675,6 +888,29 @@ def test_run_detector_on_parsed_csv_reads_no_records(scheme):
         scores = run_detector(dataset, DetectorConfig(window=WindowSpec(10), ordering=scheme))
     assert len(scores) == 11
     assert dataset._flows is None
+
+
+def test_five_tuple_score_of_an_ipv4_csv_reads_blocks_and_ranks_numbers(tmp_path):
+    lines = [
+        f"10.{i % 3}.{i % 251}.{i % 7},{1000 + i % 5},192.168.{i % 13}.{i % 3},80,"
+        f"{1 + i % 9},{100 + 37 * i % 1000},{i * 0.5},1.0,{int(i % 10 < 3)}"
+        for i in range(2500)
+    ]
+    path = tmp_path / "flows.csv"
+    path.write_text(",".join(CSV_COLUMNS) + ",label\n" + "\n".join(lines) + "\n")
+    argv = ["score", "--ordering", "five-tuple-start", "--window", "100", str(path), "-o", str(tmp_path / "s.csv")]
+    refuse_matching = mock.Mock(match=refuse_rows)
+    with (
+        mock.patch.object(ingest, "_IPV4", refuse_matching),
+        mock.patch("socket.inet_aton", refuse_rows),
+        mock.patch("csv.reader", refuse_rows),
+    ):
+        dataset = parse_flow_csv(path)
+        ordered = order_flows(dataset, OrderingScheme.FIVE_TUPLE_START)
+        assert main(argv) == 0
+    flows, labeled = ref_parse_flow_csv(path)
+    assert (dataset.flows, dataset.labeled) == (flows, labeled)
+    assert ordered.flows == tuple(sorted(flows, key=REF_KEYS[OrderingScheme.FIVE_TUPLE_START]))
 
 
 @pytest.mark.parametrize(
