@@ -238,8 +238,7 @@ def cmd_evaluate(args) -> int:
     )
     best = result.best()
     if best is None:
-        # Nothing is written: stdout keeps its summary line, stderr says why each cell is absent.
-        print("no evaluable grid cells (all degenerate)")
+        # Nothing is written; the input error says why each cell is absent.
         reasons = Counter(cell.reason for cell in result.cells)
         raise DegenerateLabelsError(
             "no evaluable grid cells: " + ", ".join(f"{n} with {reason}" for reason, n in sorted(reasons.items()))

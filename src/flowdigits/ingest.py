@@ -3,16 +3,17 @@
 Three input formats produce the same in-memory dataset: the canonical flow
 CSV (this package's interchange format), the plain-text TCP conversation
 table printed by ``tshark -r <pcap> -q -z conv,tcp``, and KDD Cup 1999
-connection records. Parsing is single-pass streaming and appends rows to
-the table a chunk at a time. The flow CSV and KDD records are read a
-block of lines at a time and converted column-wise; a chunk that fails a
-check is read again row by row, which raises at its first bad row. The
-flow CSV splits blocks of plain lines on commas and hands the first block
-that is not plain, and the rest of the input, to ``csv.reader``, so its
-quoting rules are those of ``csv``. KDD blocks with LF or CRLF line ends
-are read column-wise alike. tshark converts and checks each row as it
-reads it. Input that is not UTF-8, a truncated or corrupt gzip file, or
-a CSV cell over the ``csv`` field limit, is a ParseError.
+connection records. Parsing is single-pass streaming: every parser reads
+its input in chunks of ``_CHUNK_ROWS`` lines or rows (``textblock.chunks``)
+and converts each chunk before it reads the next, so a bad row read before
+a read error raises first. The flow CSV and KDD records convert a chunk
+column-wise; a chunk that fails a check is read again row by row, which
+raises at its first bad row. The flow CSV splits chunks of plain lines on
+commas and hands the first chunk that is not plain, and the rest of the
+input, to ``csv.reader``, so its quoting rules are those of ``csv``. KDD
+chunks with LF or CRLF line ends are read column-wise alike. tshark checks
+each row as it reads it. Input that is not UTF-8, a truncated or corrupt
+gzip file, or a CSV cell over the ``csv`` field limit, is a ParseError.
 
 A dataset is a columnar flow table: one numpy array per flow field, where
 row i describes the i-th flow in dataset order.
@@ -54,16 +55,15 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import FormatError, ParseError
-from .textblock import csv_cells, ipv4_values, plain_columns, raising, read_lines
+from .textblock import chunks, csv_cells, ipv4_values, plain_columns
 
 CSV_COLUMNS = (
     "src_ip",
@@ -351,7 +351,8 @@ class _TableBuilder:
 
     def add_rows(self, rows: Iterable[tuple]) -> None:
         """Append rows of checked FlowRecord field values (seq_no optional), a chunk at a time."""
-        _in_chunks(rows, lambda chunk: self.add_values(*zip(*chunk)))
+        for chunk in chunks(rows, _CHUNK_ROWS):
+            self.add_values(*zip(*chunk))
 
     def columns(self) -> tuple[dict[str, np.ndarray], tuple[str, ...], np.ndarray | None]:
         """(columns, address table, its ``ipv4_values``); each column is joined and its chunks freed in turn."""
@@ -369,25 +370,6 @@ class _TableBuilder:
         if labeled is None:
             labeled = bool((columns["label"] >= 0).all())
         return FlowDataset._from_columns(columns, addresses, ipv4, labeled, source_name)
-
-
-def _in_chunks(rows: Iterable, convert: Callable[[list], None]) -> None:
-    """Hand the rows to convert(rows) a chunk at a time.
-
-    The rows still buffered are converted also when ``rows`` raises. A bad
-    row read before the failing line then raises first, as it would if every
-    row were converted as soon as it was read.
-    """
-    chunk: list = []
-    try:
-        for row in rows:
-            chunk.append(row)
-            if len(chunk) == _CHUNK_ROWS:
-                full, chunk = chunk, []
-                convert(full)
-    finally:
-        if chunk:
-            convert(chunk)
 
 
 @contextmanager
@@ -519,12 +501,6 @@ def _csv_row(row: list[str], line: int, has_label: bool) -> tuple:
     return src_ip, src_port, dst_ip, dst_port, packets, bytes_total, rel_start, duration, label
 
 
-def _csv_chunk(table: _TableBuilder, has_label: bool, numbered_rows: list[tuple[list[str], int]]) -> None:
-    """Convert (row, line) pairs as ``_csv_columns`` does."""
-    rows, lines = zip(*numbered_rows)
-    _csv_columns(table, has_label, list(zip(*rows)), lines)
-
-
 def _csv_columns(table: _TableBuilder, has_label: bool, cells: list[Sequence[str]], lines: Sequence[int]) -> None:
     """Convert rows given column by column, ``lines`` numbering them, as arrays.
 
@@ -575,11 +551,12 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
     counts. A label cell that is not exactly 0 or 1 is treated as absent,
     which makes the whole dataset unlabeled rather than failing the parse.
 
-    Lines are read ``_CHUNK_ROWS`` at a time. A block of plain lines (see
-    ``textblock.plain_columns``) is split on commas; the first block that
-    is not plain, and the rest of the input after it, are read by
-    ``csv.reader``. Both read the same rows, so quoting rules, messages and
-    line numbers do not depend on the blocks.
+    Lines are read in chunks of ``_CHUNK_ROWS`` (``textblock.chunks``). A
+    chunk of plain lines (see ``textblock.plain_columns``) is split on
+    commas; the first chunk that is not plain, and the chunks after it, are
+    read by ``csv.reader``, whose rows are converted ``_CHUNK_ROWS`` at a
+    time. Both read the same rows, so quoting rules, messages and line
+    numbers do not depend on the chunks.
     """
     with _open_text(source) as stream:
         reader = None
@@ -599,22 +576,18 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
                 raise FormatError(f"unexpected header: {_quote(','.join(header))}")
             table = _TableBuilder()
             row = 2  # the line number of the next row
-            while True:
-                lines, error = read_lines(stream, _CHUNK_ROWS)
-                if not lines and error is None:
-                    break
+            blocks = chunks(stream, _CHUNK_ROWS)
+            for lines in blocks:
                 cells = plain_columns(lines, len(header))
                 if cells is None:
                     lines_before = (1 if reader is None else reader.line_num) + row - 2  # header and plain lines
-                    reader = csv.reader(chain(lines, stream if error is None else raising(error)))
-                    _in_chunks(_csv_rows(reader, len(header), row), partial(_csv_chunk, table, has_label))
+                    reader = csv.reader(chain(lines, chain.from_iterable(blocks)))
+                    for numbered in chunks(_csv_rows(reader, len(header), row), _CHUNK_ROWS):
+                        rows, numbers = zip(*numbered)
+                        _csv_columns(table, has_label, list(zip(*rows)), numbers)
                     break
                 _csv_columns(table, has_label, cells, range(row, row + len(lines)))
                 row += len(lines)
-                if error is not None:
-                    raise error
-                if len(lines) < _CHUNK_ROWS:
-                    break
                 del lines, cells  # free this block before the next one is read
         except StopIteration:
             raise FormatError("missing header line") from None
@@ -773,35 +746,30 @@ def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | N
     file's natural connection order. Packet counts are absent (byte sizes
     only). The class label maps to 0 for "normal." and 1 for everything
     else; a trailing dot on the class is optional. ``max_flows`` truncates
-    the dataset after that many TCP flows (for desk-scale runs).
+    the dataset after that many TCP flows (for desk-scale runs); no line
+    after the last one kept is read.
 
-    Lines are converted a block at a time, column-wise: each line is split
-    up to its byte counts, the byte counts of the TCP rows are converted
-    and checked as arrays, and the class is the line's last cell. A block
-    that holds a quote, a CR that does not end a CRLF line end, a short or
-    blank line, or a byte count that is not a non-negative integer or
-    overflows the sum, is read row by row instead, which raises at its
-    first bad line with that line's number.
+    Lines are read in chunks (``textblock.chunks``) and converted
+    column-wise: each line is split up to its byte counts, the byte counts
+    of the TCP rows are converted and checked as arrays, and the class is
+    the line's last cell. A chunk that holds a quote, a CR that does not
+    end a CRLF line end, a short or blank line, or a byte count that is not
+    a non-negative integer or overflows the sum, is read row by row
+    instead, which raises at its first bad line with that line's number.
     """
     if max_flows is not None and max_flows < 1:
         raise ValueError(f"max_flows must be at least 1, got {max_flows}")
     sizes, labels = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int8)]
     with _open_text(source) as stream:
         lineno, kept = 1, 0
-        while kept != max_flows:
-            # A line holds at most one record, so a block ends at the
-            # max_flows-th TCP row at the latest: no line after it is read.
-            limit = _CHUNK_ROWS if max_flows is None else min(_CHUNK_ROWS, max_flows - kept)
-            lines, error = read_lines(stream, limit)
-            if lines:
-                block_sizes, block_labels = _kdd_block(lines) or _kdd_rows(lines, lineno)
-                sizes.append(block_sizes)
-                labels.append(block_labels)
-                lineno += len(lines)
-                kept += len(block_sizes)
-            if error is not None:
-                raise error
-            if len(lines) < limit:
+        # A line holds at most one record, so a chunk ends at the max_flows-th TCP row at the latest.
+        for lines in chunks(stream, lambda: _CHUNK_ROWS if max_flows is None else min(_CHUNK_ROWS, max_flows - kept)):
+            block_sizes, block_labels = _kdd_block(lines) or _kdd_rows(lines, lineno)
+            sizes.append(block_sizes)
+            labels.append(block_labels)
+            lineno += len(lines)
+            kept += len(block_sizes)
+            if kept == max_flows:
                 break
             del lines  # free this block before the next one is read
     # The other columns are constant: placeholder endpoints (code 0) and ports, no packets, no duration.

@@ -1,41 +1,44 @@
 """Line-oriented text read, checked and written a block at a time.
 
-``ingest`` reads the flow CSV and KDD records a block of lines at a time
-and builds the flow table from the results; these helpers hold no state
-and know nothing of flows. They check a whole block with a few string and
-numpy operations and say so when it needs the slower exact path: a block
-that is not plain CSV goes to ``csv.reader``, a batch of addresses that
-are not all dotted quads to per-address checks.
+``ingest`` reads every input through ``chunks``, a block of lines or rows
+at a time, and builds the flow table from the results; these helpers know
+nothing of flows. They check a whole block with a few string and numpy
+operations and say so when it needs the slower exact path: a block that
+is not plain CSV goes to ``csv.reader``, a batch of addresses that are
+not all dotted quads to per-address checks.
 """
 
 from __future__ import annotations
 
 import csv
 from itertools import islice, repeat
-from typing import IO, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 
-def read_lines(stream: IO[str], limit: int) -> tuple[list[str], Exception | None]:
-    """Up to ``limit`` lines of the stream, and the error that ended the read early if one did.
+def chunks(items: Iterable, size: int | Callable[[], int]) -> Iterator[list]:
+    """The items in lists of ``size``, or of ``size()`` asked before each list; only the last may be short.
 
-    The caller converts the lines before it raises the error, so that a bad
-    line read before the failing one raises first.
+    Nothing is read before a list is asked for, nor after a short one. If
+    reading raises, the items read before the error are yielded first and
+    the error is raised at the next request, so that the caller converts
+    them, and a bad item among them raises first.
     """
-    lines: list[str] = []
-    try:
-        for line in islice(stream, limit):
-            lines.append(line)
-    except Exception as exc:
-        return lines, exc
-    return lines, None
-
-
-def raising(error: Exception) -> Iterator[str]:
-    """An iterator that raises ``error`` when read."""
-    raise error
-    yield  # pragma: no cover - makes this a generator
+    items = iter(items)
+    while True:
+        limit = size() if callable(size) else size
+        chunk: list = []
+        try:
+            chunk.extend(islice(items, limit))
+        except Exception:
+            if chunk:
+                yield chunk
+            raise
+        if chunk:
+            yield chunk
+        if len(chunk) < limit:
+            return
 
 
 def plain_columns(lines: list[str], width: int) -> list[list[str]] | None:

@@ -505,6 +505,16 @@ def test_parse_flow_csv_plain_blocks_before_an_irregular_line_match_rowwise_refe
     assert got == run(ref_parse_flow_csv)
 
 
+def test_quoted_header_then_plain_blocks_are_read_column_wise(tmp_path):
+    header = ",".join(f'"{name}"' for name in CSV_COLUMNS + ("label",))
+    lines = [flow_csv_line(i, True) for i in range(2 * ingest._CHUNK_ROWS + 100)]
+    path = tmp_path / "flows.csv"
+    path.write_text(header + "\n" + "\n".join(lines) + "\n")
+    with mock.patch.object(ingest, "_csv_rows", refuse_rows):
+        dataset = parse_flow_csv(path)
+    assert (dataset.flows, dataset.labeled) == ref_parse_flow_csv(path)
+
+
 def test_tshark_port_outside_0_to_65535_is_a_parse_error():
     text = "TCP Conversations\n1.2.3.4:70000 <-> 5.6.7.8:80 1 60 1 60 2 120 0.0 1.0\n"
     with pytest.raises(ParseError, match="line 2: endpoint port out of range 0..65535: '1.2.3.4:70000'"):
@@ -642,6 +652,68 @@ def test_adapt_kdd_reads_a_crlf_file_column_wise(tmp_path):
     lf = adapt_kdd(tmp_path / "lf.data")
     for name in ingest._COLUMN_TYPES:
         assert np.array_equal(getattr(crlf, name), getattr(lf, name)), name
+
+
+# -- chunk reader property ------------------------------------------------------------
+
+
+class FailingSource:
+    """An iterator over ``items`` that raises OSError after them if ``fail``; ``pulls`` counts the reads."""
+
+    def __init__(self, items, fail):
+        self.items, self.fail, self.pulls = items, fail, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.pulls += 1
+        if self.pulls <= len(self.items):
+            return self.items[self.pulls - 1]
+        if self.fail:
+            raise OSError("read failed")
+        raise StopIteration
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    items=st.lists(st.integers(), max_size=25),
+    fail=st.booleans(),
+    sizes=st.one_of(st.integers(1, 5), st.lists(st.integers(1, 5), min_size=1, max_size=8)),
+    stop=st.one_of(st.none(), st.integers(1, 25)),
+)
+def test_chunks_hand_out_every_item_read_in_full_lists_before_a_read_error(items, fail, sizes, stop):
+    """``sizes`` is a fixed size, or the sizes a callable gives in turn; the consumer stops after ``stop`` lists."""
+    source, asked = FailingSource(items, fail), []
+
+    def next_size():
+        asked.append(sizes[len(asked) % len(sizes)])
+        return asked[-1]
+
+    blocks = textblock.chunks(source, sizes if isinstance(sizes, int) else next_size)
+    lists, error = [], None
+    try:
+        for block in blocks:
+            lists.append(block)
+            # Nothing is read ahead of the list asked for.
+            assert min(source.pulls, len(items)) == sum(map(len, lists))
+            if len(lists) == stop:
+                break
+    except OSError as exc:
+        error = exc
+    wanted = [sizes] * len(lists) if isinstance(sizes, int) else asked[: len(lists)]
+    assert [len(block) for block in lists[:-1]] == wanted[:-1]
+    assert all(1 <= len(block) <= limit for block, limit in zip(lists[-1:], wanted[-1:]))
+    joined = [item for block in lists for item in block]
+    if len(lists) == stop:
+        assert joined == items[: source.pulls] and error is None
+    else:
+        # Every item read came out, and the error, if any, only at the request after the last list.
+        assert joined == items
+        assert (error is not None) == fail
+        # The end of the source, or its error, was read once.
+        assert source.pulls == len(items) + 1
+        assert next(blocks, None) is None
 
 
 # -- address fast path ----------------------------------------------------------------
