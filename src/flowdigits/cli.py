@@ -19,7 +19,7 @@ from typing import IO, Callable
 
 from . import __version__
 from .benford import ZeroPolicy
-from .detector import DetectorConfig, LabelingRule, OrderedFlows, run_detector, window_arrays, write_scores_csv
+from .detector import DetectorConfig, LabelingRule, OrderedFlows, window_arrays, window_rows, write_score_rows
 from .errors import (
     CapabilityError,
     DegenerateLabelsError,
@@ -69,7 +69,7 @@ def _load_dataset(path: str, fmt: str, max_flows: int | None) -> FlowDataset:
 def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -89,11 +89,11 @@ def _config_dict(config: DetectorConfig, step: int | None = None) -> dict:
 
 
 def _write_output(
-    output: str, write: Callable[[IO[str]], None], command: str, config: dict, input_path: str | None
-) -> None:
-    """Write one output file through write(handle), then its manifest side-car."""
+    output: str, write: Callable[[IO[str]], object], command: str, config: dict, input_path: str | None
+):
+    """Write one output file through write(handle), then its manifest side-car; returns what write returned."""
     with open(output, "w", encoding="utf-8", newline="") as handle:
-        write(handle)
+        written = write(handle)
     manifest = {
         "tool": "flowdigits",
         "version": __version__,
@@ -107,6 +107,7 @@ def _write_output(
     with open(f"{output}.manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    return written
 
 
 def _labeling_from_args(args) -> tuple[str | float | int | None, bool]:
@@ -197,13 +198,14 @@ def cmd_score(args) -> int:
     value, absolute = _labeling_from_args(args)
     config = _config_from_args(args, None if value is None else _labeling_rule(value, absolute))
     dataset = _load_dataset(args.input, args.format, args.max_flows)
-    scores = run_detector(dataset, config)
+    rows = window_rows(dataset, config)  # scores every window, so input errors raise before writing
     if args.output is None:
-        write_scores_csv(scores, sys.stdout)
+        write_score_rows(rows, sys.stdout)
         return 0
-    _write_output(args.output, lambda h: write_scores_csv(scores, h), "score", _config_dict(config), args.input)
-    alerts = sum(s.decision for s in scores)
-    print(f"scored {len(scores)} windows, {alerts} alerts -> {args.output}")
+    windows, alerts = _write_output(
+        args.output, lambda h: write_score_rows(rows, h), "score", _config_dict(config), args.input
+    )
+    print(f"scored {windows} windows, {alerts} alerts -> {args.output}")
     return 0
 
 
@@ -291,11 +293,7 @@ def cmd_generate(args) -> int:
             "size_decades": list(spec.size_decades),
             "size_model": spec.size_model,
             "bursts": [
-                {
-                    "start_index": b.start_index,
-                    "length": b.length,
-                    "pattern": b.pattern.__class__.__name__,
-                }
+                {"start_index": b.start_index, "length": b.length, "pattern": b.pattern.__class__.__name__}
                 for b in spec.attacks
             ],
         },

@@ -5,13 +5,17 @@ the first-digit reference; the oriented deviation is the anomaly score and
 an alert fires when it reaches the decision threshold T. For labeled
 datasets a window's ground truth is 1 when it contains at least T_l
 malicious flows (boundary inclusive: exactly T_l counts as malicious).
+
+``window_arrays`` scores every window at once. ``window_rows`` reads its arrays out
+as rows, which ``write_score_rows`` writes as CSV and ``run_detector`` wraps in objects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from itertools import chain, repeat
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from .benford import ZeroPolicy, digit_probabilities, leading_digits
 from .errors import CapabilityError
 from .ingest import FlowDataset, OrderingScheme, flow_order
 from .similarity import KldParams, SimilarityMetric
+from .textblock import chunks
 from .windowing import (
     SizeUnit,
     WindowIndex,
@@ -200,39 +205,39 @@ def window_arrays(
     return starts, scores, valid, truths
 
 
-def run_detector(dataset: FlowDataset, config: DetectorConfig) -> list[WindowScore]:
-    """Order the flows, score every window, and attach ground truth.
-
-    Output is ordered by window start and is a pure function of the inputs,
-    so results are identical across runs regardless of how callers schedule
-    the work. Truth fields are filled only when the dataset is labeled and
-    the config carries a labeling rule.
-    """
+def window_rows(dataset: FlowDataset, config: DetectorConfig) -> Iterator[tuple]:
+    """(start, end, score, decision, truth, valid) per window in order; scored now, so input errors raise here."""
     if len(dataset) < config.window.w:
-        return []  # nothing to score, so sizes that cannot be read are no error
+        return iter(())  # nothing to score, so sizes that cannot be read are no error
     starts, scores, valid, truths = window_arrays(OrderedFlows(dataset, config), config)
-    w, threshold = config.window.w, config.threshold_t
-    truth_list = [None] * len(starts) if truths is None else truths.tolist()
-    return [
-        WindowScore(
-            window=WindowIndex(start=start, end=start + w),
-            score=score,
-            decision=int(score >= threshold),
-            truth=truth,
-            valid=ok,
-        )
-        for start, score, ok, truth in zip(starts.tolist(), scores.tolist(), valid.tolist(), truth_list)
-    ]
+    columns = (starts, starts + config.window.w, scores, (scores >= config.threshold_t).astype(int), truths, valid)
+    return chain.from_iterable(
+        zip(*(repeat(None) if column is None else column[lo : lo + _CHUNK].tolist() for column in columns))
+        for lo in range(0, len(starts), _CHUNK)
+    )
+
+
+def run_detector(dataset: FlowDataset, config: DetectorConfig) -> list[WindowScore]:
+    """One WindowScore per row of ``window_rows``; truths are set for a labeled dataset with a labeling rule."""
+    return [WindowScore(WindowIndex(start, end), *rest) for start, end, *rest in window_rows(dataset, config)]
 
 
 SCORES_CSV_HEADER = "window_index,start_flow,end_flow,score,decision,truth,valid"
 
 
+def write_score_rows(rows: Iterable[tuple], sink: IO[str]) -> tuple[int, int]:
+    """Window-score CSV of ``window_rows`` rows, one ``%`` template a _CHUNK; returns (windows, alerts)."""
+    sink.write(SCORES_CSV_HEADER + "\n")
+    windows = alerts = 0
+    for chunk in chunks(rows, _CHUNK):
+        starts, ends, scores, decisions, truths, valid = zip(*chunk)
+        truths = ["" if truth is None else truth for truth in truths]
+        cells = zip(range(windows, windows + len(chunk)), starts, ends, scores, decisions, truths, valid)
+        sink.write("%d,%d,%d,%r,%d,%s,%d\n" * len(chunk) % tuple(chain.from_iterable(cells)))
+        windows, alerts = windows + len(chunk), alerts + sum(decisions)
+    return windows, alerts
+
+
 def write_scores_csv(scores: Sequence[WindowScore], sink: IO[str]) -> None:
     """Window-score CSV; truth stays blank when unknown, score 'inf' when invalid."""
-    sink.write(SCORES_CSV_HEADER + "\n")
-    for i, s in enumerate(scores):
-        truth = "" if s.truth is None else str(s.truth)
-        sink.write(
-            f"{i},{s.window.start},{s.window.end},{s.score!r},{s.decision},{truth},{int(s.valid)}\n"
-        )
+    write_score_rows(((s.window.start, s.window.end, s.score, s.decision, s.truth, s.valid) for s in scores), sink)

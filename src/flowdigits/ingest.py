@@ -278,12 +278,9 @@ def _address_ranks(addresses: Sequence[str], ipv4: np.ndarray | None = None) -> 
     # socket adds about 5 ms to every start of the command-line tool.
     from socket import inet_aton
 
-    keys = [inet_aton(text) if _IPV4.match(text) else _address_key(text) for text in addresses]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranked = [keys[i] for i in order]
-    ranks = np.zeros(len(keys), dtype=np.int64)
-    ranks[order[1:]] = np.cumsum([a != b for a, b in zip(ranked, ranked[1:])])
-    return ranks
+    # Object, not bytes (S), keys: an S array drops trailing NUL bytes, so 10.0.0.0 would tie with a00::.
+    keys = np.array([inet_aton(text) if _IPV4.match(text) else _address_key(text) for text in addresses], dtype=object)
+    return np.unique(keys, return_inverse=True)[1]
 
 
 class _TableBuilder:

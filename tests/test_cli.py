@@ -1,7 +1,19 @@
+import hashlib
+import io
 import json
 
 import pytest
 
+from flowdigits import (
+    DetectorConfig,
+    LabelingRule,
+    SimilarityMetric,
+    WindowSpec,
+    ZeroPolicy,
+    parse_flow_csv,
+    run_detector,
+    write_scores_csv,
+)
 from flowdigits.cli import main
 
 KDD_NORMAL = "0,tcp,http,SF,{src},{dst},0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,8,8,0.00,0.00,0.00,0.00,1.00,0.00,0.00,9,9,1.00,0.00,0.11,0.00,0.00,0.00,0.00,0.00,normal.\n"
@@ -256,6 +268,55 @@ def test_score_packets_on_kdd_exit_2(tmp_path, capsys):
     kdd.write_text(kdd_sample_text(n_normal=50, n_attack=0))
     assert main(["score", "--format", "kdd", "--unit", "packets", "--window", "10", str(kdd)]) == 2
     assert "packet counts" in capsys.readouterr().err
+
+
+def test_score_input_error_writes_nothing(tmp_path, capsys):
+    kdd = tmp_path / "kdd.csv"
+    kdd.write_text(kdd_sample_text(n_normal=50, n_attack=0))
+    out = tmp_path / "scores.csv"
+    argv = ["score", "--format", "kdd", "--unit", "packets", "--window", "10", str(kdd)]
+    assert main(argv + ["-o", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "scores.csv.manifest.json").exists()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        ([], {}),
+        (["--tl", "0.2"], {"labeling": LabelingRule(relative=0.2)}),
+        # Windows inside the constant-size burst have no non-zero difference: invalid, scored inf.
+        (
+            ["--zeros", "skip", "--metric", "canberra"],
+            {"zero_policy": ZeroPolicy.SKIP_ZEROS, "metric": SimilarityMetric.CANBERRA},
+        ),
+    ],
+)
+def test_score_file_is_write_scores_csv_of_run_detector(tmp_path, capsys, flags, config):
+    synth = generate_synth(tmp_path)
+    out = tmp_path / "scores.csv"
+    assert main(["score", "--window", "100", "--step", "7", *flags, str(synth), "-o", str(out)]) == 0
+    scores = run_detector(parse_flow_csv(synth), DetectorConfig(window=WindowSpec(100, 7), **config))
+    expected = io.StringIO()
+    write_scores_csv(scores, expected)
+    assert out.read_bytes() == expected.getvalue().encode()
+    alerts = sum(s.decision for s in scores)
+    assert f"scored {len(scores)} windows, {alerts} alerts ->" in capsys.readouterr().out
+    if "--zeros" in flags:
+        assert any(not s.valid for s in scores) and ",inf,1,," in out.read_text()
+
+
+def test_manifest_hashes_are_the_sha256_of_the_files(tmp_path):
+    synth = generate_synth(tmp_path)
+    out = tmp_path / "scores.csv"
+    assert main(["score", "--window", "10", "--step", "1", str(synth), "-o", str(out)]) == 0
+    assert synth.stat().st_size > 1 << 16 and out.stat().st_size > 1 << 16
+    manifest = json.loads((tmp_path / "scores.csv.manifest.json").read_text())
+    assert manifest["input_sha256"] == hashlib.sha256(synth.read_bytes()).hexdigest()
+    assert manifest["output_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_evaluate_kdd_format(tmp_path):

@@ -33,7 +33,7 @@ from flowdigits import (
     parse_tshark_conversations,
     run_detector,
 )
-from flowdigits import ingest, textblock
+from flowdigits import detector, ingest, textblock
 from flowdigits.cli import main
 from flowdigits.detector import OrderedFlows
 from flowdigits.ingest import CSV_COLUMNS, MAX_SIZE, FlowRecord, _open_text
@@ -749,6 +749,11 @@ def test_address_ranks_order_and_tie_like_packed_keys(addresses):
             assert (ranks[i] < ranks[j], ranks[i] == ranks[j]) == (keys[i] < keys[j], keys[i] == keys[j])
 
 
+def test_address_ranks_tell_apart_keys_that_differ_in_trailing_zero_bytes():
+    # The packed 10.0.0.0 is the packed a00:: without its twelve trailing zero bytes.
+    assert ingest._address_ranks(("a00::", "10.0.0.0", "a00::")).tolist() == [1, 0, 1]
+
+
 @settings(max_examples=500, deadline=None)
 @given(octets=st.lists(st.text(alphabet="0123456789٣ \n+-x", max_size=4), min_size=1, max_size=5))
 def test_ipv4_fast_path_accepts_exactly_what_ipaddress_accepts(octets):
@@ -999,3 +1004,25 @@ def test_cli_commands_build_no_records(tmp_path, capsys, argv):
     (tmp_path / "flows.csv").write_text(CSV_TEXT)
     with mock.patch.object(ingest, "FlowRecord", refuse_records):
         assert main([a.format(dir=tmp_path) for a in argv]) == 0
+
+
+# -- the score command builds no WindowScore ------------------------------------------
+
+
+def refuse_window_scores(*args, **kwargs):
+    raise AssertionError("a WindowScore was built")
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_score_builds_no_window_scores(tmp_path, capsys, labeled, to_file):
+    text = CSV_TEXT if labeled else "".join(line.rsplit(",", 1)[0] + "\n" for line in CSV_TEXT.splitlines())
+    (tmp_path / "flows.csv").write_text(text)
+    argv = ["score", "--window", "10", "--step", "1", "--tl", "0.5", str(tmp_path / "flows.csv")]
+    argv += ["-o", str(tmp_path / "s.csv")] if to_file else []
+    with mock.patch.object(detector, "WindowScore", refuse_window_scores):
+        assert main(argv) == 0
+    written = (tmp_path / "s.csv").read_text() if to_file else capsys.readouterr().out
+    rows = [line.split(",") for line in written.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(i) for i in range(51)]
+    assert {row[5] for row in rows} == ({"0", "1"} if labeled else {""})

@@ -1,8 +1,12 @@
+import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowdigits import (
     CapabilityError,
@@ -18,8 +22,11 @@ from flowdigits import (
     label_window,
     resolve_labeling_threshold,
     run_detector,
+    WindowScore,
     score_window,
+    write_scores_csv,
 )
+from flowdigits import detector
 from oracles import window_label as window_label_oracle
 from test_ingest import make_flow
 
@@ -237,3 +244,48 @@ def test_write_scores_csv_inf_and_blank_truth():
     assert lines[0] == "window_index,start_flow,end_flow,score,decision,truth,valid"
     assert lines[1] == "0,0,4,0.25,0,1,1"
     assert lines[2] == "1,2,6,inf,1,,0"
+
+
+def per_object_write_scores_csv(scores, sink):
+    """The writer write_scores_csv replaced: one f-string per WindowScore. The byte-for-byte oracle."""
+    sink.write("window_index,start_flow,end_flow,score,decision,truth,valid\n")
+    for i, s in enumerate(scores):
+        truth = "" if s.truth is None else str(s.truth)
+        sink.write(
+            f"{i},{s.window.start},{s.window.end},{s.score!r},{s.decision},{truth},{int(s.valid)}\n"
+        )
+
+
+SPECIAL_SCORES = [math.inf, -0.0, 0.0, 5e-324, 1e300]
+window_scores = st.builds(
+    lambda start, length, score, decision, truth, valid: WindowScore(
+        WindowIndex(start, start + length), score, decision, truth, valid
+    ),
+    st.integers(0, 10**12),
+    st.integers(1, 10**6),
+    st.one_of(st.sampled_from(SPECIAL_SCORES), st.floats()),
+    st.integers(0, 1),
+    st.sampled_from([None, 0, 1]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(window_scores, max_size=12), chunk=st.integers(1, 4))
+@example(scores=[], chunk=1)
+@example(
+    scores=[
+        WindowScore(WindowIndex(i, i + 3), score, i % 2, [None, 0, 1][i % 3], i % 3 != 0)
+        for i, score in enumerate(SPECIAL_SCORES)
+    ],
+    chunk=2,
+)
+def test_write_scores_csv_matches_the_per_object_writer(scores, chunk):
+    expected, written = io.StringIO(), io.StringIO()
+    per_object_write_scores_csv(scores, expected)
+    with mock.patch.object(detector, "_CHUNK", chunk):
+        write_scores_csv(scores, written)
+        rows = [(s.window.start, s.window.end, s.score, s.decision, s.truth, s.valid) for s in scores]
+        counts = detector.write_score_rows(rows, io.StringIO())
+    assert written.getvalue() == expected.getvalue()
+    assert counts == (len(scores), sum(s.decision for s in scores))
