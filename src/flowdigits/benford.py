@@ -141,7 +141,6 @@ def digit_histogram(values: Iterable[int], policy: ZeroPolicy) -> DigitDistribut
         fl = np.asarray(arr, dtype=float)
         if not np.all(fl == np.floor(fl)):
             raise ValueError("digit_histogram expects integer values")
-        arr = fl.astype(np.int64)
     arr = arr.astype(np.int64, copy=False)
     if arr.size and int(arr.min()) < 0:
         raise ValueError("digit_histogram expects non-negative values")

@@ -7,10 +7,11 @@ connection records. Parsing is single-pass streaming: every parser reads
 its input in chunks of ``_CHUNK_ROWS`` lines or rows (``textblock.chunks``)
 and converts each chunk before it reads the next, so a bad row read before
 a read error raises first. The flow CSV and KDD records convert a chunk
-column-wise; a chunk that fails a check is read again row by row, which
-raises at its first bad row. The flow CSV splits chunks of plain lines on
-commas and hands the first chunk that is not plain, and the rest of the
-input, to ``csv.reader``, so its quoting rules are those of ``csv``. KDD
+column-wise. A flow-CSV chunk that fails a check is checked, not
+converted, row by row, which raises at its first bad row; a KDD chunk that
+fails one is read again row by row. The flow CSV splits chunks of plain
+lines on commas and hands the first chunk that is not plain, and the rest
+of the input, to ``csv.reader``, so its quoting rules are those of ``csv``. KDD
 chunks with LF or CRLF line ends are read column-wise alike. tshark checks
 each row as it reads it. Input that is not UTF-8, a truncated or corrupt
 gzip file, or a CSV cell over the ``csv`` field limit, is a ParseError.
@@ -299,8 +300,9 @@ class _TableBuilder:
         The strings new to the table are checked together as dotted quads
         (``textblock.ipv4_values``), so each distinct string is checked
         once. With ``validate``, if they are not all dotted quads, each is
-        checked as an IP address, and one that is not makes the call add
-        nothing and return None.
+        checked as an IP address, and one that is not makes the call return
+        None; its strings stay in the table, as the caller then abandons
+        the parse.
         """
         index = self._index
         known = len(index)
@@ -310,8 +312,6 @@ class _TableBuilder:
             values = ipv4_values(new)
             if values is None:
                 if validate and not all(map(_is_address, new)):
-                    for text in new:
-                        del index[text]
                     return None
                 self._ipv4 = None
             elif self._ipv4 is not None:
@@ -326,30 +326,23 @@ class _TableBuilder:
             self._chunks[name].append(np.asarray(columns[name], dtype=dtype))
         self.n_rows += n
 
-    def add_values(
-        self, src_ip, src_port, dst_ip, dst_port, packets_total, bytes_total, rel_start, duration, label, seq_no=None
-    ) -> None:
-        """Append rows given as sequences of FlowRecord field values (None: absent)."""
-        columns = dict(
-            src_code=self.codes(src_ip, validate=False),
-            src_port=src_port,
-            dst_code=self.codes(dst_ip, validate=False),
-            dst_port=dst_port,
-            packets_total=[0 if p is None else p for p in packets_total],
-            has_packets=[p is not None for p in packets_total],
-            bytes_total=bytes_total,
-            rel_start=rel_start,
-            duration=duration,
-            label=[-1 if v is None else v for v in label],
-        )
-        if seq_no is not None:
-            columns["seq_no"] = seq_no
-        self.add(**columns)
-
     def add_rows(self, rows: Iterable[tuple]) -> None:
-        """Append rows of checked FlowRecord field values (seq_no optional), a chunk at a time."""
+        """Append rows of checked FlowRecord field values (None: absent; seq_no optional), a chunk at a time."""
         for chunk in chunks(rows, _CHUNK_ROWS):
-            self.add_values(*zip(*chunk))
+            src_ip, src_port, dst_ip, dst_port, packets, bytes_total, rel_start, duration, label, *seq_no = zip(*chunk)
+            self.add(
+                src_code=self.codes(src_ip, validate=False),
+                src_port=src_port,
+                dst_code=self.codes(dst_ip, validate=False),
+                dst_port=dst_port,
+                packets_total=[0 if p is None else p for p in packets],
+                has_packets=[p is not None for p in packets],
+                bytes_total=bytes_total,
+                rel_start=rel_start,
+                duration=duration,
+                label=[-1 if v is None else v for v in label],
+                **({"seq_no": seq_no[0]} if seq_no else {}),
+            )
 
     def columns(self) -> tuple[dict[str, np.ndarray], tuple[str, ...], np.ndarray | None]:
         """(columns, address table, its ``ipv4_values``); each column is joined and its chunks freed in turn."""
@@ -453,10 +446,9 @@ def _float_field(text: str, name: str, line: int) -> float:
     return value
 
 
-def _address_field(text: str, name: str, line: int) -> str:
+def _address_field(text: str, name: str, line: int) -> None:
     if not _is_address(text):
         raise ParseError(f"field {name} is not an IP address: {_quote(text)}", line)
-    return text
 
 
 def _ints(cells: Sequence[str]) -> np.ndarray:
@@ -482,27 +474,25 @@ def _optional_ints(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 _LABEL_CELLS = {"0": 0, "1": 1}
 
 
-def _csv_row(row: list[str], line: int, has_label: bool) -> tuple:
-    """One CSV row's FlowRecord field values, or the ParseError of its first bad field."""
-    src_ip = _address_field(row[0].strip(), "src_ip", line)
-    src_port = _int_field(row[1], "src_port", line, 0, 65535)
-    dst_ip = _address_field(row[2].strip(), "dst_ip", line)
-    dst_port = _int_field(row[3], "dst_port", line, 0, 65535)
+def _check_csv_row(row: Sequence[str], line: int) -> None:
+    """Raise the ParseError of a CSV row's first bad field, if it has one."""
+    _address_field(row[0].strip(), "src_ip", line)
+    _int_field(row[1], "src_port", line, 0, 65535)
+    _address_field(row[2].strip(), "dst_ip", line)
+    _int_field(row[3], "dst_port", line, 0, 65535)
     packets = None if row[4].strip() == "" else _int_field(row[4], "packets_total", line, 0, MAX_SIZE)
-    bytes_total = _int_field(row[5], "bytes_total", line, 0, MAX_SIZE)
-    if packets is not None and packets >= 1 and bytes_total < 1:
+    if _int_field(row[5], "bytes_total", line, 0, MAX_SIZE) < 1 and packets is not None and packets >= 1:
         raise ParseError("flow with packets but zero bytes", line)
-    rel_start = _float_field(row[6], "rel_start_s", line)
-    duration = _float_field(row[7], "duration_s", line)
-    label = _LABEL_CELLS.get(row[8].strip()) if has_label else None
-    return src_ip, src_port, dst_ip, dst_port, packets, bytes_total, rel_start, duration, label
+    _float_field(row[6], "rel_start_s", line)
+    _float_field(row[7], "duration_s", line)
 
 
 def _csv_columns(table: _TableBuilder, has_label: bool, cells: list[Sequence[str]], lines: Sequence[int]) -> None:
     """Convert rows given column by column, ``lines`` numbering them, as arrays.
 
-    If any check fails, the rows are converted one by one instead, which
-    raises at the first bad row.
+    If any check fails, nothing is added: the rows are checked, not
+    converted, one by one (``_check_csv_row``), which raises at the first
+    bad row.
     """
     try:
         src = table.codes([text.strip() for text in cells[0]], validate=True)
@@ -522,8 +512,9 @@ def _csv_columns(table: _TableBuilder, has_label: bool, cells: list[Sequence[str
             and all(((times >= 0.0) & np.isfinite(times)).all() for times in (rel_start, duration))
         )
     if not valid:
-        table.add_values(*zip(*(_csv_row(row, line, has_label) for row, line in zip(zip(*cells), lines))))
-        return
+        for row, line in zip(zip(*cells), lines):
+            _check_csv_row(row, line)
+        raise AssertionError(f"lines {lines[0]}..{lines[-1]} fail the column checks but pass the row checks")
     label = [_LABEL_CELLS.get(text.strip(), -1) for text in cells[8]] if has_label else np.full(len(lines), -1)
     table.add(
         src_code=src,

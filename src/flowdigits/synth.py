@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .ingest import FlowDataset
+from .ingest import MAX_SIZE, FlowDataset
 
 #: Fixed nominal packet size (bytes) used to derive packet counts.
 NOMINAL_PACKET_BYTES = 500
@@ -35,8 +35,8 @@ class ConstantSize:
     value: int
 
     def __post_init__(self):
-        if self.value < 1:
-            raise GeneratorSpecError("constant burst size must be >= 1")
+        if not 1 <= self.value <= MAX_SIZE:
+            raise GeneratorSpecError(f"constant burst size must be in 1..{MAX_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class UniformSize:
     hi: int
 
     def __post_init__(self):
-        if not 1 <= self.lo <= self.hi:
-            raise GeneratorSpecError("uniform burst needs 1 <= lo <= hi")
+        if not 1 <= self.lo <= self.hi <= MAX_SIZE:
+            raise GeneratorSpecError(f"uniform burst needs 1 <= lo <= hi <= {MAX_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ class GeneratorSpec:
         lo, hi = self.size_decades
         if hi - lo < 4:
             raise GeneratorSpecError("size_decades must span at least 4 decades")
-        if lo < 0:
-            raise GeneratorSpecError("size_decades low exponent must be >= 0")
+        if lo < 0 or hi > 18:
+            raise GeneratorSpecError("size_decades exponents must lie in 0..18")
         if self.size_model not in ("loguniform", "pareto"):
             raise GeneratorSpecError(f"unknown size model {self.size_model!r}")
         total = self.total_flows
@@ -108,10 +108,11 @@ class GeneratorSpec:
 def _normal_sizes(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     lo, hi = spec.size_decades
     if spec.size_model == "loguniform":
-        exponents = rng.uniform(lo, hi, spec.n_normal)
-        return np.floor(10.0**exponents).astype(np.int64)
-    # Pareto with scale 10^lo: heavy-tailed alternative for robustness runs.
-    draws = (1.0 + rng.pareto(spec.pareto_alpha, spec.n_normal)) * 10.0**lo
+        draws = 10.0 ** rng.uniform(lo, hi, spec.n_normal)
+    else:  # Pareto with scale 10^lo: heavy-tailed alternative for robustness runs.
+        draws = (1.0 + rng.pareto(spec.pareto_alpha, spec.n_normal)) * 10.0**lo
+    if not (draws < 2.0**63).all():  # also false for a NaN draw
+        raise GeneratorSpecError(f"normal flow sizes must be below 2**63, got {draws.max()}")
     return np.floor(draws).astype(np.int64)
 
 

@@ -34,8 +34,8 @@ class WindowSpec:
     s: int | None = None
 
     def __post_init__(self):
-        if self.w < 1:
-            raise ValueError("window size must be a positive flow count")
+        if not 1 <= self.w < 2**63:
+            raise ValueError("window size must be a positive flow count below 2**63")
         if self.s is None:
             object.__setattr__(self, "s", max(1, self.w // 2))
         if not 1 <= self.s <= self.w:

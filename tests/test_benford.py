@@ -121,3 +121,25 @@ def test_distribution_validates_shape_and_mass():
         DigitDistribution(probs=np.ones(9) / 9.0, sample_count=1, extended=True)
     with pytest.raises(ValueError):
         DigitDistribution(probs=np.ones(9), sample_count=1, extended=False)
+
+
+def test_leading_digits_rejects_floats_and_negatives():
+    with pytest.raises(ValueError, match="integer array"):
+        leading_digits(np.array([10.0, 3.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        leading_digits(np.array([10, -3]))
+
+
+def test_distribution_rejects_negative_probability_and_sample_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        DigitDistribution(probs=np.array([1.5, -0.5, 0, 0, 0, 0, 0, 0, 0]), sample_count=1, extended=False)
+    with pytest.raises(ValueError, match="sample_count"):
+        DigitDistribution(probs=benford_probs(), sample_count=-1, extended=False)
+
+
+@pytest.mark.parametrize("policy", list(ZeroPolicy))
+def test_histogram_of_integral_floats_equals_that_of_ints(policy):
+    values = [0, 10, 25, 3, 999, 10**15]
+    floats = digit_histogram(np.array(values, dtype=float), policy)
+    ints = digit_histogram(values, policy)
+    assert np.array_equal(floats.probs, ints.probs) and floats.sample_count == ints.sample_count

@@ -360,3 +360,64 @@ def test_threads_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOWDIGITS_THREADS", "4")
     assert main(argv + ["-o", str(out_par)]) == 0
     assert out_seq.read_text() == out_par.read_text()
+
+
+def test_generate_uniform_burst_labels_its_flows_and_keeps_their_sizes_in_band(tmp_path):
+    ds = parse_flow_csv(generate_synth(tmp_path, burst="uniform:100:200:10:50", normal=300))
+    assert ds.label.tolist() == [0] * 10 + [1] * 50 + [0] * 290
+    assert ((ds.bytes_total[10:60] >= 100) & (ds.bytes_total[10:60] <= 200)).all()
+
+
+GENERATE = ["generate", "--seed", "1", "--normal", "100", "-o", "g.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (GENERATE + ["--burst", "const:x:1:5"], "burst fields must be integers: 'const:x:1:5'"),
+        (GENERATE + ["--decades", "5"], "--decades must look like LO:HI, got '5'"),
+        # Exit 3, not 2: the input is not read.
+        (["evaluate", "--tl", "0.95..0.99", "absent.csv"], "no grid values inside '0.95..0.99'"),
+    ],
+)
+def test_malformed_burst_decades_or_empty_tl_range_exit_3(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"flowdigits: configuration error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--decades", "15:20"],
+        ["--size-model", "pareto", "--pareto-alpha", "nan"],
+        ["--size-model", "pareto", "--pareto-alpha", "0.3", "--decades", "14:18"],
+        ["--burst", "const:100000000000000000000:1:5"],
+        ["--burst", "uniform:1:100000000000000000000:1:5"],
+    ],
+)
+def test_generate_sizes_beyond_int64_exit_3_before_writing(tmp_path, capsys, flags):
+    assert main(["generate", "--seed", "1", "--normal", "2000", "-o", str(tmp_path / "g.csv"), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("flowdigits: configuration error: ") and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", [2**63, 10**20])
+@pytest.mark.parametrize(
+    "argv", [["score", "--window"], ["sweep", "--windows"], ["evaluate", "--roc", "--tl", "0.5", "--window"]]
+)
+def test_window_size_of_2_to_the_63_or_more_exits_3_before_reading_input(tmp_path, capsys, argv, w):
+    assert main([*argv, str(w), str(tmp_path / "absent.csv")]) == 3
+    assert "configuration error: window size must be a positive flow count" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_roc_of_the_largest_window_size_has_no_windows(tmp_path, capsys):
+    synth = generate_synth(tmp_path)
+    capsys.readouterr()
+    assert main(["evaluate", "--roc", "--window", str(2**63 - 1), "--tl", "0.5", str(synth)]) == 2
+    assert capsys.readouterr().err == "flowdigits: input error: ROC needs at least one positive and one negative window\n"

@@ -515,6 +515,56 @@ def test_quoted_header_then_plain_blocks_are_read_column_wise(tmp_path):
     assert (dataset.flows, dataset.labeled) == ref_parse_flow_csv(path)
 
 
+#: (valid, invalid) spellings of each flow CSV field, label last.
+CSV_CELL_POOLS = (
+    (["1.2.3.4", "2001:db8::1", " 10.0.0.1 "], ["01.2.3.4", "host", ""]),
+    (["0", "65535", "1_0", "٣"], ["65536", "-1", "9" * 25]),
+    (["1.2.3.4", "2001:db8::1", " 10.0.0.1 "], ["01.2.3.4", "host", ""]),
+    (["0", "65535", "1_0", "٣"], ["65536", "-1", "9" * 25]),
+    (["", " ", "0", "3"], ["-1", "x"]),
+    (["0", "5", str(MAX_SIZE)], [str(MAX_SIZE + 1)]),
+    (["0", "-0.0", "2.5"], ["1e400", "nan", "-1"]),
+    (["0", "-0.0", "2.5"], ["1e400", "nan", "-1"]),
+    (["0", "1", "", "x"], []),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(has_label=st.booleans(), data=st.data())
+def test_csv_columns_add_a_block_or_raise_the_row_checkers_first_error(has_label, data):
+    pools = CSV_CELL_POOLS[: len(CSV_COLUMNS) + has_label]
+    rows = data.draw(st.lists(st.tuples(*(st.sampled_from(valid) for valid, _ in pools)), min_size=1, max_size=6))
+    rows = [list(row) for row in rows]
+    for _ in range(data.draw(st.sampled_from([0, 1, 1, 1, 2, 3]), label="bad cells")):
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.sampled_from(range(len(CSV_COLUMNS))))
+        rows[i][j] = data.draw(st.sampled_from(pools[j][1]))
+    lines = range(7, 7 + len(rows))
+    expected = None
+    for row, line in zip(rows, lines):
+        try:
+            assert ingest._check_csv_row(row, line) is None
+        except ParseError as exc:
+            expected = str(exc)
+            break
+    table = ingest._TableBuilder()
+    try:
+        ingest._csv_columns(table, has_label, list(zip(*rows)), lines)
+    except ParseError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert table.columns()[0]["bytes_total"].tolist() == [int(row[5]) for row in rows]
+
+
+def test_a_line_holding_a_line_feed_is_read_by_csv_reader():
+    """A caller's text stream split on CR alone can hand over a line with an LF in it, which csv.reader refuses."""
+    rows = [f"10.0.0.{i},1,10.0.0.9,2,3,{size},0.5,1.0" for i, size in enumerate([400, 500, 600])]
+    text = ",".join(CSV_COLUMNS) + "\r" + rows[0] + "\n" + rows[1] + "\r" + rows[2] + "\r"
+    stream = io.TextIOWrapper(io.BytesIO(text.encode()), newline="\r")
+    with pytest.raises(ParseError, match="^line 2: new-line character seen in unquoted field"):
+        parse_flow_csv(stream)
+
+
 def test_tshark_port_outside_0_to_65535_is_a_parse_error():
     text = "TCP Conversations\n1.2.3.4:70000 <-> 5.6.7.8:80 1 60 1 60 2 120 0.0 1.0\n"
     with pytest.raises(ParseError, match="line 2: endpoint port out of range 0..65535: '1.2.3.4:70000'"):

@@ -289,3 +289,10 @@ def test_write_scores_csv_matches_the_per_object_writer(scores, chunk):
         counts = detector.write_score_rows(rows, io.StringIO())
     assert written.getvalue() == expected.getvalue()
     assert counts == (len(scores), sum(s.decision for s in scores))
+
+
+def test_labeling_threshold_rejects_an_empty_window_and_a_zero_threshold():
+    with pytest.raises(ValueError, match="window size must be positive"):
+        resolve_labeling_threshold(LabelingRule(relative=0.5), 0)
+    with pytest.raises(ValueError, match="labeling threshold must be >= 1"):
+        label_window([1, 0, 1], WindowIndex(0, 3), 0)

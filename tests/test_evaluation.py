@@ -13,12 +13,15 @@ from flowdigits import (
     DetectorConfig,
     EmptyStatsError,
     FlowDataset,
+    FlowRecord,
     GeneratorSpec,
     LabelingRule,
     SimilarityMetric,
+    SweepCell,
     WindowIndex,
     WindowScore,
     WindowSpec,
+    ZeroPolicy,
     divergence_stats,
     generate,
     grid_evaluate,
@@ -253,3 +256,13 @@ def test_write_sweep_csv_format():
     assert lines[1].startswith("200,rel:0.5,chi2,")
     assert lines[2] == "100000,rel:0.5,chi2,"
     assert lines[3].startswith("# absent: 100000,")
+
+
+def test_window_size_sweep_of_constant_sizes_skipping_zeros_has_no_valid_windows():
+    flows = [FlowRecord("10.0.0.1", 1, "10.0.0.2", 2, 1, 100, float(i), 0.0, 0, i) for i in range(30)]
+    config = DetectorConfig(window=WindowSpec(10), zero_policy=ZeroPolicy.SKIP_ZEROS)
+    result = window_size_sweep(FlowDataset(flows, labeled=True), config, [10, 20])
+    assert result.cells == (
+        SweepCell(coords=(10,), value=None, reason="no valid windows"),
+        SweepCell(coords=(20,), value=None, reason="no valid windows"),
+    )

@@ -17,7 +17,7 @@ from flowdigits import (
     size_sequence,
     write_flow_csv,
 )
-from flowdigits.ingest import FlowRecord
+from flowdigits.ingest import FlowRecord, _open_text
 
 CSV_HEADER = "src_ip,src_port,dst_ip,dst_port,packets_total,bytes_total,rel_start_s,duration_s"
 
@@ -302,3 +302,32 @@ def test_order_flows_ties_ascending_seq_no_everywhere():
         shuffled = tuple(ds.flows[i] for i in rng.permutation(len(ds.flows)))
         again = order_flows(FlowDataset(flows=shuffled, labeled=False), scheme)
         assert again.flows == ordered.flows
+
+
+def test_labeled_dataset_rejects_a_flow_without_a_label():
+    with pytest.raises(ValueError, match="without a label"):
+        FlowDataset([make_flow(0, label=1), make_flow(1)], labeled=True)
+
+
+def test_dataset_repr_names_size_labeling_and_source():
+    ds = FlowDataset([make_flow(0), make_flow(1)], labeled=False, source_name="flows.csv")
+    assert repr(ds) == "FlowDataset(<2 flows>, labeled=False, source_name='flows.csv')"
+
+
+def test_open_text_rejects_a_source_that_is_not_a_path_bytes_or_stream():
+    with pytest.raises(TypeError, match="unsupported input source: <class 'int'>"):
+        with _open_text(42):
+            pass
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("93.184.216.34:443", "93.184.216.34", "line 6: endpoint without port: '93.184.216.34'"),
+        ("40   52000", "4x0   52000", "line 6: unparseable numeric token '4x0'"),
+    ],
+)
+def test_parse_tshark_bad_endpoint_or_count_names_line_and_token(old, new, message):
+    with pytest.raises(ParseError) as caught:
+        parse_tshark_conversations(io.StringIO(TSHARK_OLD.replace(old, new)))
+    assert str(caught.value) == message

@@ -21,6 +21,7 @@ from flowdigits import (
     window_differences,
     write_flow_csv,
 )
+from flowdigits.ingest import MAX_SIZE
 
 
 def test_generate_is_deterministic():
@@ -153,3 +154,40 @@ def test_generated_dataset_round_trips_through_csv():
     again = parse_flow_csv(io.StringIO(buffer.getvalue()))
     assert again.labeled
     assert again.flows == ds.flows
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AttackBurst(start_index=-1, length=5, pattern=ConstantSize(7)), "start_index"),
+        (lambda: AttackBurst(start_index=0, length=0, pattern=ConstantSize(7)), "length"),
+        (lambda: GeneratorSpec(seed=1, n_normal=10, size_decades=(-1, 5)), "size_decades"),
+    ],
+)
+def test_spec_rejects_negative_start_zero_length_and_negative_decade(build, message):
+    with pytest.raises(GeneratorSpecError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ConstantSize(MAX_SIZE + 1),
+        lambda: UniformSize(1, MAX_SIZE + 1),
+        lambda: GeneratorSpec(seed=1, n_normal=10, size_decades=(15, 19)),
+    ],
+)
+def test_spec_rejects_sizes_above_int64(build):
+    with pytest.raises(GeneratorSpecError):
+        build()
+
+
+def test_spec_accepts_the_largest_int64_sizes():
+    bursts = (
+        AttackBurst(start_index=0, length=2, pattern=ConstantSize(MAX_SIZE)),
+        AttackBurst(start_index=2, length=2, pattern=UniformSize(MAX_SIZE - 1, MAX_SIZE)),
+    )
+    ds = generate(GeneratorSpec(seed=1, n_normal=50, size_decades=(14, 18), attacks=bursts))
+    assert ds.bytes_total[:2].tolist() == [MAX_SIZE] * 2
+    assert ds.bytes_total[2:4].min() >= MAX_SIZE - 1
+    assert (ds.bytes_total[4:] < 10**18).all()
