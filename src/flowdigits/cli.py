@@ -1,10 +1,11 @@
 """Command-line entry point: score, evaluate, sweep and generate.
 
 Exit codes are stable: 0 success, 2 input problems (unreadable or malformed
-data, missing labels), 3 configuration problems (invalid parameter values,
-inconsistent generator specs). Every file written gets a side-car
-``<file>.manifest.json`` recording the resolved configuration, the input
-fingerprint and the tool version, so results stay attributable.
+data, missing labels), 3 configuration problems (usage errors, invalid
+parameter values, inconsistent generator specs, an output that is the input).
+Every file written gets a side-car ``<file>.manifest.json`` recording the
+resolved configuration, the input fingerprint and the tool version, so results
+stay attributable.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def _write_output(
     output: str, write: Callable[[IO[str]], object], command: str, config: dict, input_path: str | None
 ):
     """Write one output file through write(handle), then its manifest side-car; returns what write returned."""
+    if input_path and Path(output).exists() and Path(output).samefile(input_path):
+        raise ValueError(f"output {output} is the input file")
     with open(output, "w", encoding="utf-8", newline="") as handle:
         written = write(handle)
     manifest = {
@@ -304,8 +307,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, argparse's only exit status 2, are configuration errors: exit 3."""
+
+    def exit(self, status=0, message=None):
+        super().exit(3 if status == 2 else status, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="flowdigits",
         description="First-digit analysis of TCP flow size differences for anomaly detection.",
     )

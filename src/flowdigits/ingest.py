@@ -134,9 +134,9 @@ _COLUMN_TYPES = {
 class FlowDataset:
     """A columnar flow table (see the module docstring), labeled or not.
 
-    ``FlowDataset(flows, labeled, source_name)`` builds the columns from
-    FlowRecords and keeps their seq_nos; parsers and the generator fill the
-    columns directly.
+    ``FlowDataset(flows, labeled, source_name)`` is the table builder's
+    dataset of the FlowRecords, seq_nos and all, kept as ``.flows``; parsers
+    and the generator fill the columns. Only ``_from_columns`` sets fields.
     """
 
     bytes_total: np.ndarray
@@ -155,8 +155,7 @@ class FlowDataset:
         flows = tuple(flows)
         table = _TableBuilder()
         table.add_rows(map(attrgetter(*FlowRecord.__slots__), flows))
-        self._assign(*table.columns(), labeled, source_name)
-        self._flows = flows
+        self.__dict__.update(vars(table.dataset(labeled, source_name)), _flows=flows)
 
     @classmethod
     def _from_columns(
@@ -169,28 +168,18 @@ class FlowDataset:
     ) -> FlowDataset:
         """A dataset of the columns; ``ipv4`` is ``ipv4_values(addresses)``, given by the caller that knows it."""
         dataset = cls.__new__(cls)
-        dataset._assign(columns, addresses, ipv4, labeled, source_name)
-        dataset._flows = None
-        return dataset
-
-    def _assign(
-        self,
-        columns: dict[str, np.ndarray],
-        addresses: tuple[str, ...],
-        ipv4: np.ndarray | None,
-        labeled: bool,
-        source_name: str,
-    ):
         for name, values in columns.items():
             values.flags.writeable = False
-            setattr(self, name, values)
-        self.addresses = addresses
+            setattr(dataset, name, values)
+        dataset.addresses = addresses
         # The 32-bit number of each address if all are dotted-quad IPv4, else None; the IP orderings rank these.
-        self._ipv4 = ipv4
-        self.labeled = labeled
-        self.source_name = source_name
-        if labeled and (self.label < 0).any():
+        dataset._ipv4 = ipv4
+        dataset.labeled = labeled
+        dataset.source_name = source_name
+        dataset._flows = None
+        if labeled and (dataset.label < 0).any():
             raise ValueError("labeled dataset contains a flow without a label")
+        return dataset
 
     def _take(self, rows: slice | np.ndarray) -> FlowDataset:
         """The flows at ``rows`` (a slice or an index array) as a dataset sharing the address table."""
@@ -548,7 +537,7 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
     """
     with _open_text(source) as stream:
         reader = None
-        lines_before = 0  # lines read before the first line of ``reader``
+        read = 0  # lines read before the first line of ``reader``, or of the next block
         try:
             first = list(islice(stream, 1))
             columns = plain_columns(first, first[0].count(",") + 1) if first else None
@@ -563,35 +552,35 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
             if has_label and header[-1] != CSV_LABEL_COLUMN:
                 raise FormatError(f"unexpected header: {_quote(','.join(header))}")
             table = _TableBuilder()
-            row = 2  # the line number of the next row
+            read = 1 if reader is None else reader.line_num
             blocks = chunks(stream, _CHUNK_ROWS)
             for lines in blocks:
                 cells = plain_columns(lines, len(header))
                 if cells is None:
-                    lines_before = (1 if reader is None else reader.line_num) + row - 2  # header and plain lines
                     reader = csv.reader(chain(lines, chain.from_iterable(blocks)))
-                    for numbered in chunks(_csv_rows(reader, len(header), row), _CHUNK_ROWS):
+                    for numbered in chunks(_csv_rows(reader, len(header), read), _CHUNK_ROWS):
                         rows, numbers = zip(*numbered)
                         _csv_columns(table, has_label, list(zip(*rows)), numbers)
                     break
-                _csv_columns(table, has_label, cells, range(row, row + len(lines)))
-                row += len(lines)
+                _csv_columns(table, has_label, cells, range(read + 1, read + 1 + len(lines)))
+                read += len(lines)
                 del lines, cells  # free this block before the next one is read
         except StopIteration:
             raise FormatError("missing header line") from None
         except csv.Error as exc:  # such as a cell over the field limit
-            raise ParseError(str(exc), lines_before + reader.line_num) from None
+            raise ParseError(str(exc), read + reader.line_num) from None
     return table.dataset(labeled=None, source_name=source_name)
 
 
-def _csv_rows(reader: Iterator[list[str]], width: int, start: int) -> Iterator[tuple[list[str], int]]:
-    """(row, line) of each row that is not blank; ``start`` numbers the first."""
-    for lineno, row in enumerate(reader, start=start):
-        if not row:
-            continue
-        if len(row) != width:
-            raise ParseError(f"expected {width} fields, got {len(row)}", lineno)
-        yield row, lineno
+def _csv_rows(reader, width: int, before: int) -> Iterator[tuple[list[str], int]]:
+    """(row, line) of each non-blank row of a ``csv.reader`` that follows ``before`` lines; ``line`` is its first."""
+    line = before + 1
+    for row in reader:
+        if row:
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}", line)
+            yield row, line
+        line = before + reader.line_num + 1
 
 
 def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:

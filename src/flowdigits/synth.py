@@ -132,18 +132,16 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     total = spec.total_flows
+    attacks = sorted(spec.attacks, key=lambda b: b.start_index)
 
+    normal = _normal_sizes(spec, rng)
     sizes = np.empty(total, dtype=np.int64)
     labels = np.zeros(total, dtype=np.int8)
-    burst_mask = np.zeros(total, dtype=bool)
-    for burst in sorted(spec.attacks, key=lambda b: b.start_index):
-        burst_mask[burst.start_index : burst.start_index + burst.length] = True
-
-    sizes[~burst_mask] = _normal_sizes(spec, rng)
-    for burst in sorted(spec.attacks, key=lambda b: b.start_index):
+    for burst in attacks:
         span = slice(burst.start_index, burst.start_index + burst.length)
         sizes[span] = _burst_sizes(burst, rng)
         labels[span] = 1
+    sizes[labels == 0] = normal
 
     packets = np.maximum(1, sizes // NOMINAL_PACKET_BYTES)
     durations = rng.uniform(0.0, 1.0, total)
@@ -157,7 +155,7 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
     # until the distinct ones are formatted.
     src_ips = _ipv4(10, src_octets[:, 0], src_octets[:, 1], src_octets[:, 2])
     dst_ips = _ipv4(192, 168, dst_octets[:, 0], dst_octets[:, 1])
-    for burst in sorted(spec.attacks, key=lambda b: b.start_index):
+    for burst in attacks:
         target = rng.integers(0, 256, size=2)
         span = slice(burst.start_index, burst.start_index + burst.length)
         dst_ips[span] = _ipv4(172, 16, int(target[0]), int(target[1]))

@@ -421,3 +421,53 @@ def test_roc_of_the_largest_window_size_has_no_windows(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--roc", "--window", str(2**63 - 1), "--tl", "0.5", str(synth)]) == 2
     assert capsys.readouterr().err == "flowdigits: input error: ROC needs at least one positive and one negative window\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["score"],
+        ["evaluate", "--roc", "--tl", "0.1", "--window", "500"],
+        ["evaluate", "--windows", "500", "--tl", "0.1"],
+        ["sweep", "--windows", "500"],
+    ],
+    ids=["score", "roc", "grid", "sweep"],
+)
+@pytest.mark.parametrize("output", ["f.csv", "./f.csv", "link.csv"])
+def test_output_that_is_the_input_exits_3_and_leaves_it_unchanged(tmp_path, monkeypatch, capsys, command, output):
+    monkeypatch.chdir(tmp_path)
+    generate_synth(tmp_path, name="f.csv")
+    (tmp_path / "link.csv").symlink_to("f.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main([*command, "f.csv", "-o", output]) == 3
+    assert capsys.readouterr() == ("", f"flowdigits: configuration error: output {output} is the input file\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--window", "abc", "f.csv"],
+        ["score", "--metric", "nope", "f.csv"],
+        ["generate", "--seed", "1", "-o", "g.csv"],
+        ["nope"],
+    ],
+    ids=["window", "metric", "generate-without-normal", "subcommand"],
+)
+def test_usage_error_prints_usage_and_exits_3(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: flowdigits")
+    assert "error: " in captured.err and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["score", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: flowdigits")

@@ -86,7 +86,11 @@ def ref_parse_flow_csv(source):
             raise FormatError(f"unexpected header: {','.join(header)!r}")
 
         flows = []
-        for lineno, row in enumerate(reader, start=2):
+        while True:
+            lineno = reader.line_num + 1  # the line the next row starts on
+            row = next(reader, None)
+            if row is None:
+                break
             if not row:
                 continue
             if len(row) != len(header):
@@ -576,6 +580,29 @@ def test_bad_row_in_an_earlier_chunk_position_wins_over_a_later_bad_line():
     text = ",".join(CSV_COLUMNS) + "\n" + good + "10.0.0.1,1,10.0.0.2,2,1,-1,0,0\n" + good + "short,row\n"
     with pytest.raises(ParseError, match="line 3: field bytes_total must be >= 0, got -1"):
         parse_flow_csv(io.StringIO(text))
+
+
+FLOW_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+ONE_LINE_ROW = "1.2.3.4,1,5.6.7.8,2,3,100,0.0,1.0\n"
+TWO_LINE_ROW = '1.2.3.4,1,5.6.7.8,2,3,100,0.0,"1.0\n"\n'
+BAD_PORT_ROW = "1.2.3.4,1,5.6.7.8,70000,3,100,0.0,1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(FLOW_CSV_HEADER + TWO_LINE_ROW + BAD_PORT_ROW, "field dst_port must be <= 65535, got 70000", id="row"),
+        pytest.param(
+            FLOW_CSV_HEADER.replace("duration_s\n", '"duration_s\n"\n') + ONE_LINE_ROW + BAD_PORT_ROW,
+            "field dst_port must be <= 65535, got 70000",
+            id="header",
+        ),
+        pytest.param(FLOW_CSV_HEADER + TWO_LINE_ROW + "1.2.3.4,1,5.6.7.8\n", "expected 8 fields, got 3", id="width"),
+    ],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+def test_flow_csv_error_after_a_two_line_row_or_header_names_the_line_its_row_starts_on(text, message, chunk_rows):
+    assert outcome(parse_flow_csv, text, chunk_rows) == (ParseError, f"line 4: {message}", 4)
 
 
 def kdd_line(service="http", src_bytes="10", cls="normal.", protocol="tcp"):

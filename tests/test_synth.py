@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -191,3 +192,20 @@ def test_spec_accepts_the_largest_int64_sizes():
     assert ds.bytes_total[:2].tolist() == [MAX_SIZE] * 2
     assert ds.bytes_total[2:4].min() >= MAX_SIZE - 1
     assert (ds.bytes_total[4:] < 10**18).all()
+
+
+def test_generate_bytes_of_unsorted_bursts_are_pinned():
+    """The flow CSV of one spec, bursts given out of order, one of them a single flow, is fixed byte for byte."""
+    spec = GeneratorSpec(
+        seed=11,
+        n_normal=400,
+        attacks=(
+            AttackBurst(300, 40, ConstantSize(1500)),
+            AttackBurst(20, 1, UniformSize(100, 200)),
+            AttackBurst(120, 30, UniformSize(1000, 5000)),
+        ),
+    )
+    sink = io.StringIO()
+    write_flow_csv(generate(spec), sink)
+    digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
+    assert digest == "a6b6f7f406cd488c3cea967c0c6c4af254f33487db113894d375c7aa0d8a6b6d"
