@@ -2,7 +2,7 @@
 
 Exit codes are stable: 0 success, 2 input problems (unreadable or malformed
 data, missing labels), 3 configuration problems (usage errors, invalid
-parameter values, inconsistent generator specs, an output that is the input).
+parameter values, inconsistent generator specs, an unusable output path).
 Every file written gets a side-car ``<file>.manifest.json`` recording the
 resolved configuration, the input fingerprint and the tool version, so results
 stay attributable.
@@ -89,12 +89,20 @@ def _config_dict(config: DetectorConfig, step: int | None = None) -> dict:
     }
 
 
+def _checked_output(output: str, input_path: str | None) -> str:
+    """The output path, checked before the input is read: a directory, one in no directory, or the input is refused."""
+    path = Path(output)
+    if path.is_dir() or not path.parent.is_dir():
+        raise ValueError(f"output {output} is {'a directory' if path.is_dir() else 'not in an existing directory'}")
+    if input_path and path.exists() and path.samefile(input_path):
+        raise ValueError(f"output {output} is the input file")
+    return output
+
+
 def _write_output(
     output: str, write: Callable[[IO[str]], object], command: str, config: dict, input_path: str | None
 ):
     """Write one output file through write(handle), then its manifest side-car; returns what write returned."""
-    if input_path and Path(output).exists() and Path(output).samefile(input_path):
-        raise ValueError(f"output {output} is the input file")
     with open(output, "w", encoding="utf-8", newline="") as handle:
         written = write(handle)
     manifest = {
@@ -200,6 +208,8 @@ def _add_common_detector_flags(p: argparse.ArgumentParser) -> None:
 def cmd_score(args) -> int:
     value, absolute = _labeling_from_args(args)
     config = _config_from_args(args, None if value is None else _labeling_rule(value, absolute))
+    if args.output is not None:
+        _checked_output(args.output, args.input)
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     rows = window_rows(dataset, config)  # scores every window, so input errors raise before writing
     if args.output is None:
@@ -221,6 +231,7 @@ def cmd_evaluate(args) -> int:
         labeling_grid = _parse_labeling_grid(value, absolute)
         w_grid = [WindowSpec(w, args.step).w for w in _parse_list(args.windows, int, "--windows")]
         metric_set = _parse_list(args.metrics, lambda m: SimilarityMetric(m.strip()), "--metrics")
+    output = _checked_output(args.output or ("roc.csv" if args.roc else "sweep.csv"), args.input)
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     if not dataset.labeled:
         raise CapabilityError("evaluation requires a labeled dataset")
@@ -228,7 +239,6 @@ def cmd_evaluate(args) -> int:
     if args.roc:
         _, scores, _, truths = window_arrays(OrderedFlows(dataset, config), config)
         curve = roc_curve(scores, truths)
-        output = args.output or "roc.csv"
         _write_output(output, lambda h: write_roc_csv(curve, h), "evaluate --roc", _config_dict(config), args.input)
         print(f"roc over {len(scores)} windows, auc={curve.auc:.9f} -> {output}")
         return 0
@@ -248,7 +258,6 @@ def cmd_evaluate(args) -> int:
         raise DegenerateLabelsError(
             "no evaluable grid cells: " + ", ".join(f"{n} with {reason}" for reason, n in sorted(reasons.items()))
         )
-    output = args.output or "sweep.csv"
     _write_output(output, lambda h: write_sweep_csv(result, h), "evaluate", _config_dict(config, args.step), args.input)
     coords = dict(zip(result.axes, best.coords))
     print(
@@ -262,9 +271,9 @@ def cmd_sweep(args) -> int:
     config = _config_from_args(args, None, grid=True)
     w_grid = _parse_list(args.windows, int, "--windows") if args.windows else DEFAULT_SWEEP_GRID
     w_grid = [WindowSpec(w, args.step).w for w in w_grid]
+    output = _checked_output(args.output or "wsweep.csv", args.input)
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     result = window_size_sweep(dataset, config, w_grid, step=args.step)
-    output = args.output or "wsweep.csv"
     _write_output(output, lambda h: write_sweep_csv(result, h), "sweep", _config_dict(config, args.step), args.input)
     present = sum(1 for c in result.cells if c.value is not None)
     print(f"swept {len(result.cells)} window sizes ({present} evaluable) -> {output}")
@@ -285,6 +294,7 @@ def cmd_generate(args) -> int:
         size_model=args.size_model,
         pareto_alpha=args.pareto_alpha,
     )
+    _checked_output(args.output, None)
     dataset = generate(spec)
     _write_output(
         args.output,

@@ -35,11 +35,11 @@ src_code       int32   index into ``addresses``
 dst_code       int32   index into ``addresses``
 ============== ======= ===============================================
 
-``addresses`` is a tuple of the distinct endpoint strings; when all are
-dotted-quad IPv4, their 32-bit numbers are kept beside it for the IP
-orderings, so that no address is parsed twice. The arrays are
-read-only and nothing changes a dataset once built, so it is safe to share
-between threads.
+``addresses`` is a tuple of the distinct endpoint strings. If all are
+dotted-quad IPv4, the codes are ranks of their sorted 32-bit numbers, which
+the IP orderings sort, and the strings are built on first read. The arrays
+are read-only and nothing changes a dataset once built, so it is safe to
+share between threads: threads that build a cached view at once get equal ones.
 ``dataset.flows`` is the same table as a tuple of ``FlowRecord``; it is
 built on first read and cached, and scoring never reads it.
 """
@@ -64,7 +64,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import FormatError, ParseError
-from .textblock import chunks, csv_cells, ipv4_values, plain_columns
+from .textblock import chunks, csv_cells, ipv4_texts, ipv4_values, plain_columns
 
 CSV_COLUMNS = (
     "src_ip",
@@ -137,6 +137,7 @@ class FlowDataset:
     ``FlowDataset(flows, labeled, source_name)`` is the table builder's
     dataset of the FlowRecords, seq_nos and all, kept as ``.flows``; parsers
     and the generator fill the columns. Only ``_from_columns`` sets fields.
+    All-IPv4 codes are ranks of sorted numbers, and ``addresses`` is built on first read.
     """
 
     bytes_total: np.ndarray
@@ -161,19 +162,17 @@ class FlowDataset:
     def _from_columns(
         cls,
         columns: dict[str, np.ndarray],
-        addresses: tuple[str, ...],
+        addresses: tuple[str, ...] | None,
         ipv4: np.ndarray | None,
         labeled: bool,
         source_name: str,
     ) -> FlowDataset:
-        """A dataset of the columns; ``ipv4`` is ``ipv4_values(addresses)``, given by the caller that knows it."""
+        """A dataset of the columns whose codes index ``addresses``, or ``ipv4``: sorted distinct IPv4 numbers."""
         dataset = cls.__new__(cls)
         for name, values in columns.items():
             values.flags.writeable = False
             setattr(dataset, name, values)
-        dataset.addresses = addresses
-        # The 32-bit number of each address if all are dotted-quad IPv4, else None; the IP orderings rank these.
-        dataset._ipv4 = ipv4
+        dataset._addresses, dataset._ipv4 = addresses, ipv4
         dataset.labeled = labeled
         dataset.source_name = source_name
         dataset._flows = None
@@ -184,30 +183,41 @@ class FlowDataset:
     def _take(self, rows: slice | np.ndarray) -> FlowDataset:
         """The flows at ``rows`` (a slice or an index array) as a dataset sharing the address table."""
         columns = {name: getattr(self, name)[rows] for name in _COLUMN_TYPES}
-        return FlowDataset._from_columns(columns, self.addresses, self._ipv4, self.labeled, self.source_name)
+        return FlowDataset._from_columns(columns, self._addresses, self._ipv4, self.labeled, self.source_name)
+
+    @property
+    def addresses(self) -> tuple[str, ...]:
+        """The distinct endpoint strings that the codes index; built on first read."""
+        if self._addresses is None:
+            self._addresses = tuple(ipv4_texts(self._ipv4))
+        return self._addresses
 
     @property
     def flows(self) -> tuple[FlowRecord, ...]:
         """The flows as records, in dataset order; built on first read."""
         if self._flows is None:
-            self._flows = tuple(map(FlowRecord, *self._row_values(slice(None), None), self.seq_no.tolist()))
+            values = self._row_values(slice(None), None, self.addresses)
+            self._flows = tuple(map(FlowRecord, *values, self.seq_no.tolist()))
         return self._flows
 
-    def _row_values(self, rows: slice, absent: object, addresses: Sequence[str] | None = None) -> list[Iterable]:
+    def _row_values(self, rows: slice, absent: object, addresses: Sequence[str] | None) -> list[Iterable]:
         """FlowRecord field values from src_ip to label of the flows at ``rows``, column by column.
 
         ``absent`` stands in for a missing packet count or label, and
-        ``addresses``, if given, for the address table.
+        ``addresses`` for the address table; None formats the IPv4 numbers.
         """
-        address = (self.addresses if addresses is None else addresses).__getitem__
+        src, dst = (
+            ipv4_texts(self._ipv4[codes]) if addresses is None else map(addresses.__getitem__, codes.tolist())
+            for codes in (self.src_code[rows], self.dst_code[rows])
+        )
         packets = self.packets_total[rows].tolist()
         has_packets = self.has_packets[rows]
         if not has_packets.all():
             packets = [p if has else absent for p, has in zip(packets, has_packets.tolist())]
         return [
-            map(address, self.src_code[rows].tolist()),
+            src,
             self.src_port[rows].tolist(),
-            map(address, self.dst_code[rows].tolist()),
+            dst,
             self.dst_port[rows].tolist(),
             packets,
             self.bytes_total[rows].tolist(),
@@ -256,14 +266,8 @@ def _address_key(text: str) -> bytes:
         return b"\xff" + text.encode("utf-8", "surrogateescape")
 
 
-def _address_ranks(addresses: Sequence[str], ipv4: np.ndarray | None = None) -> np.ndarray:
-    """Dense rank of each address's sort key; different strings with equal keys tie.
-
-    ``ipv4`` is ``ipv4_values(addresses)``: an all-IPv4 table ranks those
-    numbers, and any other ranks packed keys.
-    """
-    if ipv4 is not None:
-        return np.unique(ipv4, return_inverse=True)[1]
+def _address_ranks(addresses: Sequence[str]) -> np.ndarray:
+    """Dense rank of each address's sort key; different strings with equal keys tie."""
     # Imported here because only the address orderings need it: importing
     # socket adds about 5 ms to every start of the command-line tool.
     from socket import inet_aton
@@ -278,34 +282,25 @@ class _TableBuilder:
 
     def __init__(self):
         self._chunks: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMN_TYPES}
-        self._index: dict[str, int] = {}
-        # ipv4_values of the address table a call at a time; None once one is not dotted-quad IPv4.
-        self._ipv4: list[np.ndarray] | None = []
+        self._index: dict[str, int] | None = None  # string table; None while the code chunks hold IPv4 numbers (int32)
         self.n_rows = 0
 
-    def codes(self, addresses: Iterable[str], validate: bool) -> np.ndarray | None:
-        """Codes of the addresses, adding new strings to the table with the next free code.
+    def codes(self, src: Sequence[str], dst: Sequence[str], validate: bool) -> dict[str, np.ndarray] | None:
+        """The src_code and dst_code of one chunk; with ``validate``, None if a new string is not an IP address."""
+        if self._index is None:
+            values = ipv4_values([*src, *dst])
+            if values is not None:
+                return dict(zip(("src_code", "dst_code"), np.split(values.view(np.int32), [len(src)])))
+            self._index = {}  # the first chunk that is not all IPv4: format the numbers so far into it
+            for name in ("src_code", "dst_code"):
+                self._chunks[name] = [self._intern(ipv4_texts(chunk.view(np.uint32))) for chunk in self._chunks[name]]
+        if validate and not all(map(_is_address, set(src).union(dst).difference(self._index))):
+            return None
+        return {"src_code": self._intern(src), "dst_code": self._intern(dst)}
 
-        The strings new to the table are checked together as dotted quads
-        (``textblock.ipv4_values``), so each distinct string is checked
-        once. With ``validate``, if they are not all dotted quads, each is
-        checked as an IP address, and one that is not makes the call return
-        None; its strings stay in the table, as the caller then abandons
-        the parse.
-        """
+    def _intern(self, texts: Iterable[str]) -> np.ndarray:
         index = self._index
-        known = len(index)
-        codes = [index.setdefault(text, len(index)) for text in addresses]
-        if len(index) > known and (validate or self._ipv4 is not None):
-            new = list(islice(reversed(index), len(index) - known))[::-1]
-            values = ipv4_values(new)
-            if values is None:
-                if validate and not all(map(_is_address, new)):
-                    return None
-                self._ipv4 = None
-            elif self._ipv4 is not None:
-                self._ipv4.append(values)
-        return np.array(codes, dtype=np.int32)
+        return np.array([index.setdefault(text, len(index)) for text in texts], dtype=np.int32)
 
     def add(self, **columns) -> None:
         """Append one chunk of rows; seq_no defaults to the rows' positions."""
@@ -320,9 +315,8 @@ class _TableBuilder:
         for chunk in chunks(rows, _CHUNK_ROWS):
             src_ip, src_port, dst_ip, dst_port, packets, bytes_total, rel_start, duration, label, *seq_no = zip(*chunk)
             self.add(
-                src_code=self.codes(src_ip, validate=False),
+                **self.codes(src_ip, dst_ip, validate=False),
                 src_port=src_port,
-                dst_code=self.codes(dst_ip, validate=False),
                 dst_port=dst_port,
                 packets_total=[0 if p is None else p for p in packets],
                 has_packets=[p is not None for p in packets],
@@ -333,15 +327,19 @@ class _TableBuilder:
                 **({"seq_no": seq_no[0]} if seq_no else {}),
             )
 
-    def columns(self) -> tuple[dict[str, np.ndarray], tuple[str, ...], np.ndarray | None]:
-        """(columns, address table, its ``ipv4_values``); each column is joined and its chunks freed in turn."""
+    def columns(self) -> tuple[dict[str, np.ndarray], tuple[str, ...] | None, np.ndarray | None]:
+        """(columns, address table, IPv4 numbers), one of the two None; chunks are freed column by column."""
         columns = {}
         for name, dtype in _COLUMN_TYPES.items():
             chunks = self._chunks[name]
             columns[name] = np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
             chunks.clear()
-        ipv4 = None if self._ipv4 is None else np.concatenate([np.empty(0, dtype=np.uint32), *self._ipv4])
-        return columns, tuple(self._index), ipv4
+        if self._index is not None:
+            return columns, tuple(self._index), None
+        numbers = np.concatenate((columns["src_code"], columns["dst_code"])).view(np.uint32)
+        ipv4, codes = np.unique(numbers, return_inverse=True)
+        columns["src_code"], columns["dst_code"] = np.split(codes.astype(np.int32), 2)
+        return columns, None, ipv4
 
     def dataset(self, labeled: bool | None, source_name: str) -> FlowDataset:
         """The collected flows; ``labeled=None`` means labeled iff every flow has a label."""
@@ -484,8 +482,7 @@ def _csv_columns(table: _TableBuilder, has_label: bool, cells: list[Sequence[str
     bad row.
     """
     try:
-        src = table.codes([text.strip() for text in cells[0]], validate=True)
-        dst = table.codes([text.strip() for text in cells[2]], validate=True)
+        codes = table.codes([text.strip() for text in cells[0]], [text.strip() for text in cells[2]], validate=True)
         src_port, dst_port, bytes_total = _ints(cells[1]), _ints(cells[3]), _ints(cells[5])
         packets, has_packets = _optional_ints(cells[4])
         rel_start, duration = _floats(cells[6]), _floats(cells[7])
@@ -493,8 +490,7 @@ def _csv_columns(table: _TableBuilder, has_label: bool, cells: list[Sequence[str
         valid = False
     else:
         valid = (
-            src is not None
-            and dst is not None
+            codes is not None
             and bool(((src_port >= 0) & (src_port <= 65535) & (dst_port >= 0) & (dst_port <= 65535)).all())
             and bool(((packets >= 0) & (bytes_total >= 0)).all())
             and not (has_packets & (packets >= 1) & (bytes_total < 1)).any()
@@ -506,9 +502,8 @@ def _csv_columns(table: _TableBuilder, has_label: bool, cells: list[Sequence[str
         raise AssertionError(f"lines {lines[0]}..{lines[-1]} fail the column checks but pass the row checks")
     label = [_LABEL_CELLS.get(text.strip(), -1) for text in cells[8]] if has_label else np.full(len(lines), -1)
     table.add(
-        src_code=src,
+        **codes,
         src_port=src_port,
-        dst_code=dst,
         dst_port=dst_port,
         packets_total=packets,
         has_packets=has_packets,
@@ -546,11 +541,9 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
                 header = tuple(cell.strip() for cell in next(reader))
             else:
                 header = tuple(column[0].strip() for column in columns)
-            if header[: len(CSV_COLUMNS)] != CSV_COLUMNS or len(header) > len(CSV_COLUMNS) + 1:
+            if header not in (CSV_COLUMNS, CSV_COLUMNS + (CSV_LABEL_COLUMN,)):
                 raise FormatError(f"unexpected header: {_quote(','.join(header))}")
-            has_label = len(header) == len(CSV_COLUMNS) + 1
-            if has_label and header[-1] != CSV_LABEL_COLUMN:
-                raise FormatError(f"unexpected header: {_quote(','.join(header))}")
+            has_label = len(header) > len(CSV_COLUMNS)
             table = _TableBuilder()
             read = 1 if reader is None else reader.line_num
             blocks = chunks(stream, _CHUNK_ROWS)
@@ -588,7 +581,7 @@ def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
 
     The text is that of ``csv.writer``: floats are written as ``repr``, so
     they round-trip exactly, and addresses are quoted by csv rules. Each
-    chunk of rows is formatted with one ``%`` template.
+    chunk is one ``%`` template; unbuilt IPv4 strings are formatted per chunk.
     """
     if isinstance(sink, (str, Path)):
         stream, owns = open(sink, "w", encoding="utf-8", newline=""), True
@@ -598,7 +591,7 @@ def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
         with_label = dataset.labeled or bool((dataset.label >= 0).any())
         header = CSV_COLUMNS + ((CSV_LABEL_COLUMN,) if with_label else ())
         stream.write(",".join(header) + "\n")
-        addresses = csv_cells(dataset.addresses)
+        addresses = None if dataset._addresses is None else csv_cells(dataset._addresses)
         # rel_start_s and duration_s are floats (%r); the other cells are ints, addresses or "".
         template = ",".join(["%s"] * 6 + ["%r"] * 2 + ["%s"] * with_label) + "\n"
         for lo in range(0, len(dataset), _CHUNK_ROWS):
@@ -757,9 +750,7 @@ def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | N
         rel_start=np.arange(kept, dtype=np.float64),
         seq_no=np.arange(kept),
     )
-    return FlowDataset._from_columns(
-        columns, ("0.0.0.0",), np.zeros(1, dtype=np.uint32), labeled=True, source_name=source_name
-    )
+    return FlowDataset._from_columns(columns, None, np.zeros(1, dtype=np.uint32), True, source_name)
 
 
 def _kdd_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -822,16 +813,18 @@ def flow_order(dataset: FlowDataset, scheme: OrderingScheme) -> np.ndarray:
     byte form, ports numerically. Flows with equal keys keep their raw-log
     order (ascending seq_no), which also makes the ordering idempotent.
     """
+    src, dst = dataset.src_code, dataset.dst_code  # ranks already in an all-IPv4 table
+    if dataset._ipv4 is None and scheme in (OrderingScheme.SRC_DST_START, OrderingScheme.FIVE_TUPLE_START):
+        ranks = _address_ranks(dataset.addresses)
+        src, dst = ranks[src], ranks[dst]
     if scheme is OrderingScheme.START_END:
         keys = (dataset.rel_start, dataset.rel_start + dataset.duration)
     elif scheme is OrderingScheme.END_START:
         keys = (dataset.rel_start + dataset.duration, dataset.rel_start)
     elif scheme is OrderingScheme.SRC_DST_START:
-        ranks = _address_ranks(dataset.addresses, dataset._ipv4)
-        keys = (ranks[dataset.src_code], ranks[dataset.dst_code], dataset.rel_start)
+        keys = (src, dst, dataset.rel_start)
     elif scheme is OrderingScheme.FIVE_TUPLE_START:
-        ranks = _address_ranks(dataset.addresses, dataset._ipv4)
-        keys = (ranks[dataset.src_code], dataset.src_port, ranks[dataset.dst_code], dataset.dst_port, dataset.rel_start)
+        keys = (src, dataset.src_port, dst, dataset.dst_port, dataset.rel_start)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown ordering scheme: {scheme!r}")
     # lexsort is stable and takes its primary key last.

@@ -27,19 +27,11 @@ class SimilarityMetric(Enum):
     MODIFIED_KLD = "mkld"
 
 
-#: Metrics where 0 means perfect fit and larger means worse.
-DIVERGENCES = frozenset(
-    {
-        SimilarityMetric.CHI_SQUARE,
-        SimilarityMetric.EUCLIDEAN,
-        SimilarityMetric.MANHATTAN,
-        SimilarityMetric.CANBERRA,
-        SimilarityMetric.MODIFIED_KLD,
-    }
-)
-
 #: Metrics where 1 means perfect fit and smaller means worse.
 SIMILARITIES = frozenset({SimilarityMetric.PEARSON_CC, SimilarityMetric.COSINE})
+
+#: Metrics where 0 means perfect fit and larger means worse.
+DIVERGENCES = frozenset(SimilarityMetric) - SIMILARITIES
 
 #: Unit contribution of digit 0 to the modified KLD: 2*log2(1/P(9)), the
 #: heuristic that full mass on digit 0 diverges twice as hard as full mass

@@ -24,10 +24,6 @@ NOMINAL_PACKET_BYTES = 500
 #: Spacing of consecutive flow start times, seconds.
 START_SPACING_S = 0.05
 
-#: The decimal text of each octet value.
-_OCTET_NAMES = tuple(map(str, range(256)))
-
-
 @dataclass(frozen=True)
 class ConstantSize:
     """Every flow in the burst has exactly this byte size."""
@@ -151,8 +147,8 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
     dst_ports = rng.integers(1, 65536, size=total, dtype=np.int64)
 
     # One fixed target endpoint per burst: scripted traffic hammers a single
-    # destination while sources stay random. Addresses are IPv4 numbers
-    # until the distinct ones are formatted.
+    # destination while sources stay random. Addresses are IPv4 numbers;
+    # the table formats them only where they are read.
     src_ips = _ipv4(10, src_octets[:, 0], src_octets[:, 1], src_octets[:, 2])
     dst_ips = _ipv4(192, 168, dst_octets[:, 0], dst_octets[:, 1])
     for burst in attacks:
@@ -162,7 +158,6 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
         dst_ports[span] = int(rng.integers(1, 65536))
 
     distinct, codes = np.unique(np.concatenate((src_ips, dst_ips)), return_inverse=True)
-    octets = [map(_OCTET_NAMES.__getitem__, (distinct >> shift & 255).tolist()) for shift in (24, 16, 8, 0)]
     return FlowDataset._from_columns(
         {
             "bytes_total": sizes,
@@ -177,7 +172,7 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
             "src_code": codes[:total].astype(np.int32),
             "dst_code": codes[total:].astype(np.int32),
         },
-        tuple(map(".".join, zip(*octets))),
+        None,
         distinct.astype(np.uint32),
         labeled=True,
         source_name=f"synthetic(seed={spec.seed})",

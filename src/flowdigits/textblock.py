@@ -108,6 +108,16 @@ def ipv4_values(texts: Sequence[str]) -> np.ndarray | None:
     return (octets.reshape(n, 4) @ np.array([1 << 24, 1 << 16, 1 << 8, 1])).astype(np.uint32)
 
 
+#: The decimal text of each octet value.
+_OCTETS = tuple(map(str, range(256)))
+
+
+def ipv4_texts(values: np.ndarray) -> list[str]:
+    """The dotted quad of each 32-bit number, which ``ipv4_values`` reads back."""
+    octets = [map(_OCTETS.__getitem__, (values >> shift & 255).tolist()) for shift in (24, 16, 8, 0)]
+    return list(map(".".join, zip(*octets)))
+
+
 def csv_cells(texts: Sequence[str]) -> Sequence[str]:
     """Each text as ``csv.writer`` writes it as a cell of a row of several; quoted only where needed."""
     if not any(char in "".join(texts) for char in ',"\r\n'):

@@ -471,3 +471,35 @@ def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: flowdigits")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["score", "missing.csv"],
+        ["evaluate", "missing.csv"],
+        ["evaluate", "--roc", "--tl", "0.2", "missing.csv"],
+        ["sweep", "missing.csv"],
+        ["generate", "--seed", "1", "--normal", "10"],
+    ],
+    ids=["score", "evaluate", "roc", "sweep", "generate"],
+)
+@pytest.mark.parametrize(
+    "output, problem",
+    [(".", "is a directory"), ("nodir/x.csv", "is not in an existing directory")],
+    ids=["directory", "missing-parent"],
+)
+def test_unusable_output_exits_3_before_the_input_is_read(tmp_path, monkeypatch, capsys, command, output, problem):
+    """A missing input would exit 2 if it were read first; nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "-o", output]) == 3
+    assert capsys.readouterr() == ("", f"flowdigits: configuration error: output {output} {problem}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_under_a_file_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    generate_synth(tmp_path, name="f.csv")
+    capsys.readouterr()
+    assert main(["score", "f.csv", "-o", "f.csv/x.csv"]) == 3
+    assert capsys.readouterr().err == "flowdigits: configuration error: output f.csv/x.csv is not in an existing directory\n"

@@ -20,13 +20,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowdigits import (
+    AttackBurst,
+    ConstantSize,
     DetectorConfig,
     FlowDataset,
     FormatError,
+    GeneratorSpec,
     OrderingScheme,
     ParseError,
     WindowSpec,
     adapt_kdd,
+    generate,
     leading_digits,
     order_flows,
     parse_flow_csv,
@@ -1103,3 +1107,186 @@ def test_score_builds_no_window_scores(tmp_path, capsys, labeled, to_file):
     rows = [line.split(",") for line in written.splitlines()[1:]]
     assert [row[0] for row in rows] == [str(i) for i in range(51)]
     assert {row[5] for row in rows} == ({"0", "1"} if labeled else {""})
+
+
+# -- IPv4 endpoints as numbers: the table builder against string interning -------------
+
+
+def ref_interned(flows):
+    """The string-interning reference: each distinct endpoint string once, in first-seen order."""
+    return tuple(dict.fromkeys(ip for f in flows for ip in (f.src_ip, f.dst_ip)))
+
+
+def assert_table_matches_reference(dataset, flows, labeled):
+    """Writer bytes (before any string is built), .flows, labeled, orderings and the interned table."""
+    sink = io.StringIO()
+    ingest.write_flow_csv(dataset, sink)
+    assert sink.getvalue() == ref_write_flow_csv(FlowDataset(flows, labeled))
+    assert (dataset.flows, dataset.labeled) == (flows, labeled)
+    for scheme in OrderingScheme:
+        expected = sorted(range(len(flows)), key=lambda i: REF_KEYS[scheme](flows[i]))
+        assert ingest.flow_order(dataset, scheme).tolist() == expected
+    assert sorted(dataset.addresses) == sorted(ref_interned(flows))
+    # All dotted quads: the codes are the ranks of the sorted numbers, which the table keeps instead of strings.
+    if all(ingest._IPV4.match(text) for text in ref_interned(flows)):
+        numbers = [int(ipaddress.IPv4Address(text)) for text in dataset.addresses]
+        assert numbers == sorted(set(numbers)) == dataset._ipv4.tolist()
+
+
+IPV4_ENDPOINTS = st.sampled_from(["10.0.0.1", "10.0.0.2", "9.0.0.0", "255.255.255.255", "0.0.0.0", "128.0.0.1"])
+OTHER_CSV_ENDPOINTS = st.sampled_from(["2001:db8::1", "2001:DB8:0::1", "a00::", "::ffff:1.2.3.4", "fe80::1%eth0"])
+BAD_CSV_ENDPOINTS = st.sampled_from(["host.example", "01.2.3.4", "1.2.3", "256.1.1.1", "1.2.3.٤"])
+
+
+@st.composite
+def switching_endpoints(draw, other, bad=None):
+    """(src, dst) pairs: all IPv4 before the switch row, whose src, dst or both are not; then a mix.
+
+    With ``bad``, one endpoint after the switch may be malformed.
+    """
+    n_before, n_after = draw(st.integers(0, 9)), draw(st.integers(0, 6))
+    pairs = [(draw(IPV4_ENDPOINTS), draw(IPV4_ENDPOINTS)) for _ in range(n_before)]
+    switch = draw(st.sampled_from(["src", "dst", "both"]))
+    pairs.append(
+        (
+            draw(other if switch != "dst" else IPV4_ENDPOINTS),
+            draw(other if switch != "src" else IPV4_ENDPOINTS),
+        )
+    )
+    mixed = st.one_of(IPV4_ENDPOINTS, other)
+    pairs += [(draw(mixed), draw(mixed)) for _ in range(n_after)]
+    if bad is not None and draw(st.booleans()):
+        i, column = draw(st.integers(n_before, len(pairs) - 1)), draw(st.integers(0, 1))
+        pairs[i] = tuple(draw(bad) if k == column else text for k, text in enumerate(pairs[i]))
+    return pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pairs=st.one_of(
+        st.lists(st.tuples(IPV4_ENDPOINTS, IPV4_ENDPOINTS), max_size=12),
+        switching_endpoints(OTHER_CSV_ENDPOINTS, BAD_CSV_ENDPOINTS),
+    ),
+    has_label=st.booleans(),
+    chunk_rows=st.integers(1, 4),
+)
+def test_flow_csv_switching_from_ipv4_matches_string_interning_reference(pairs, has_label, chunk_rows):
+    header = ",".join(CSV_COLUMNS + ("label",) * has_label)
+    text = "".join(
+        f"\n{src},{i % 3},{dst},80,{i % 4},{100 + i},{i % 5 * 0.5},1.0" + f",{i % 2}" * has_label
+        for i, (src, dst) in enumerate(pairs)
+    )
+    expected = ref_outcome(ref_parse_flow_csv, header + text + "\n")
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        try:
+            dataset = parse_flow_csv(io.StringIO(header + text + "\n"))
+        except ParseError as exc:
+            assert (type(exc), str(exc), exc.line) == expected
+        else:
+            flows, labeled = expected
+            assert_table_matches_reference(dataset, flows, labeled)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4])
+@pytest.mark.parametrize("switch_row", [0, 1, 2, 5])
+def test_a_switch_on_the_dst_column_codes_the_blocks_src_column_as_strings(chunk_rows, switch_row):
+    rows = [f"10.0.0.{i},1,9.0.0.{i},2,3,{100 + i},{i}.0,1.0" for i in range(8)]
+    rows[switch_row] = rows[switch_row].replace(f"9.0.0.{switch_row}", "2001:db8::1")
+    text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        dataset = parse_flow_csv(io.StringIO(text))
+        assert_table_matches_reference(dataset, *ref_parse_flow_csv(io.StringIO(text)))
+    assert dataset._ipv4 is None and len(dataset.addresses) == 16
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4, 4096])
+@pytest.mark.parametrize("bad", ["host.example", "1.2.3", "01.2.3.4"])
+def test_a_malformed_address_after_the_switch_raises_at_its_line(chunk_rows, bad):
+    rows = [f"10.0.0.{i},1,9.0.0.{i},2,3,{100 + i},{i}.0,1.0" for i in range(8)]
+    rows[3] = rows[3].replace("9.0.0.3", "2001:db8::1")
+    rows[6] = rows[6].replace("10.0.0.6", bad)
+    text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        with pytest.raises(ParseError, match=f"^line 8: field src_ip is not an IP address: '{bad}'$"):
+            parse_flow_csv(io.StringIO(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=switching_endpoints(st.sampled_from(TSHARK_HOSTS + ("2001:db8::1", "a00::", " 10.0.0.1"))),
+    chunk_rows=st.integers(1, 4),
+    labels=st.sampled_from([None, 0, 1]),
+)
+def test_records_switching_from_ipv4_to_hostnames_match_string_interning_reference(pairs, chunk_rows, labels):
+    flows = tuple(
+        FlowRecord(src, i % 3, dst, 80, None if i % 5 == 4 else i % 4, 100 + i, i % 5 * 0.5, 1.0, labels, 7 - i)
+        for i, (src, dst) in enumerate(pairs)
+    )
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        dataset = FlowDataset(flows, labeled=labels is not None)
+        dataset._flows = None  # build the records from the columns
+        assert_table_matches_reference(dataset, flows, labels is not None)
+
+
+# -- IPv4 endpoint strings are built only where they are read --------------------------
+
+
+def refuse_formatting(*args, **kwargs):
+    raise AssertionError("an address string was formatted")
+
+
+@pytest.mark.parametrize("ordering", ["five-tuple-start", "src-dst-start"])
+def test_ip_ordered_score_of_an_ipv4_csv_formats_no_address(tmp_path, ordering):
+    (tmp_path / "flows.csv").write_text(CSV_TEXT.replace("2001:db8::", "192.168.0."))
+    argv = ["score", "--ordering", ordering, "--window", "10", str(tmp_path / "flows.csv"), "-o", str(tmp_path / "s.csv")]
+    with mock.patch.object(ingest, "ipv4_texts", refuse_formatting):
+        assert main(argv) == 0
+        dataset = parse_flow_csv(tmp_path / "flows.csv")
+        order_flows(dataset, OrderingScheme[ordering.upper().replace("-", "_")])
+    assert dataset._addresses is None
+
+
+def test_generate_formats_endpoints_a_chunk_at_a_time(tmp_path):
+    formatted = []
+
+    def ipv4_texts(values):
+        formatted.append(len(values))
+        return textblock.ipv4_texts(values)
+
+    def refuse_table(self):
+        raise AssertionError("the whole address table was built")
+
+    argv = ["generate", "--seed", "3", "--normal", "3000", "--burst", "const:1500:100:50", "-o", str(tmp_path / "g.csv")]
+    with (
+        mock.patch.object(ingest, "ipv4_texts", ipv4_texts),
+        mock.patch.object(ingest.FlowDataset, "addresses", property(refuse_table)),
+    ):
+        assert main(argv) == 0
+    assert max(formatted) == ingest._CHUNK_ROWS and sum(formatted) == 2 * 3050
+    expected = io.StringIO()
+    ingest.write_flow_csv(generate(GeneratorSpec(seed=3, n_normal=3000, attacks=BURSTS)), expected)
+    assert (tmp_path / "g.csv").read_text() == expected.getvalue()
+
+
+BURSTS = (AttackBurst(100, 50, ConstantSize(1500)),)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate(GeneratorSpec(seed=5, n_normal=2500, attacks=BURSTS)),
+        lambda: parse_flow_csv(io.StringIO(CSV_TEXT.replace("2001:db8::", "192.168.0."))),
+        lambda: adapt_kdd(io.StringIO(kdd_line() * 3)),
+    ],
+    ids=["generate", "parse", "kdd"],
+)
+def test_a_never_formatted_dataset_reads_as_one_whose_addresses_were_built(make):
+    fresh, built = make(), make()
+    assert fresh._addresses is None and built.addresses
+    rows = np.random.default_rng(1).permutation(len(fresh))
+    for a, b in [(fresh, built)] + [(fresh._take(r), built._take(r)) for r in (rows, slice(1, None, 2))]:
+        sink_a, sink_b = io.StringIO(), io.StringIO()
+        ingest.write_flow_csv(a, sink_a)
+        ingest.write_flow_csv(b, sink_b)
+        assert a._addresses is None and sink_a.getvalue() == sink_b.getvalue()
+        assert a.flows == b.flows
