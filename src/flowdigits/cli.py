@@ -28,7 +28,7 @@ from .errors import (
     GeneratorSpecError,
     ParseError,
 )
-from .evaluation import grid_evaluate, roc_curve, window_size_sweep, write_roc_csv, write_sweep_csv
+from .evaluation import grid_evaluate, roc_rows, window_size_sweep, write_roc_rows, write_sweep_csv
 from .ingest import FlowDataset, OrderingScheme, adapt_kdd, parse_flow_csv, parse_tshark_conversations, write_flow_csv
 from .similarity import KldParams, SimilarityMetric
 from .synth import AttackBurst, ConstantSize, GeneratorSpec, UniformSize, describe, generate
@@ -237,10 +237,14 @@ def cmd_evaluate(args) -> int:
         raise CapabilityError("evaluation requires a labeled dataset")
 
     if args.roc:
+        if len(dataset) < config.window.w:
+            raise DegenerateLabelsError(f"ROC has no windows: {len(dataset)} flows are fewer than W={config.window.w}")
         _, scores, _, truths = window_arrays(OrderedFlows(dataset, config), config)
-        curve = roc_curve(scores, truths)
-        _write_output(output, lambda h: write_roc_csv(curve, h), "evaluate --roc", _config_dict(config), args.input)
-        print(f"roc over {len(scores)} windows, auc={curve.auc:.9f} -> {output}")
+        rows, auc = roc_rows(scores, truths)  # ranks every window, so degenerate labels raise before writing
+        _write_output(
+            output, lambda h: write_roc_rows(rows, auc, h), "evaluate --roc", _config_dict(config), args.input
+        )
+        print(f"roc over {len(scores)} windows, auc={auc:.9f} -> {output}")
         return 0
 
     result = grid_evaluate(

@@ -211,9 +211,14 @@ def window_rows(dataset: FlowDataset, config: DetectorConfig) -> Iterator[tuple]
         return iter(())  # nothing to score, so sizes that cannot be read are no error
     starts, scores, valid, truths = window_arrays(OrderedFlows(dataset, config), config)
     columns = (starts, starts + config.window.w, scores, (scores >= config.threshold_t).astype(int), truths, valid)
+    return column_rows(columns)
+
+
+def column_rows(columns: Sequence[np.ndarray | None]) -> Iterator[tuple]:
+    """Rows of equal-length columns as Python values, _CHUNK at a time; a None column (not the first) reads None."""
     return chain.from_iterable(
         zip(*(repeat(None) if column is None else column[lo : lo + _CHUNK].tolist() for column in columns))
-        for lo in range(0, len(starts), _CHUNK)
+        for lo in range(0, len(columns[0]), _CHUNK)
     )
 
 

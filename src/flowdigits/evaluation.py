@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .detector import DetectorConfig, LabelingRule, OrderedFlows, WindowScore, resolve_labeling_threshold, window_arrays
+from .detector import DetectorConfig, LabelingRule, OrderedFlows, WindowScore, column_rows, resolve_labeling_threshold
+from .detector import window_arrays
 from .errors import CapabilityError, DegenerateLabelsError, EmptyStatsError
 from .ingest import FlowDataset
 from .similarity import SimilarityMetric
@@ -29,13 +30,15 @@ class RocCurve:
     auc: float
 
 
-def roc_curve(scores: np.ndarray, truths: np.ndarray) -> RocCurve:
-    """ROC curve and AUC for a float score array without NaN and a 0/1 int truth array.
+def roc_rows(scores: np.ndarray, truths: np.ndarray) -> tuple[Iterator[tuple[float, float, float]], float]:
+    """(threshold, fpr, tpr) rows and AUC for a float score array without NaN and a 0/1 int truth array.
 
     Thresholds sweep the distinct scores. Infinite scores rank above every
     finite score; tied scores collapse into one curve point, which gives
     tied positive/negative pairs half credit. The AUC is computed in
-    integers, so equal inputs can be compared for exact equality.
+    integers, so equal inputs can be compared for exact equality. The
+    arrays are ranked now, so degenerate labels raise here; the rows are
+    read out of them as they are iterated.
     """
     n_pos = int(truths.sum())
     n_neg = len(truths) - n_pos
@@ -43,14 +46,17 @@ def roc_curve(scores: np.ndarray, truths: np.ndarray) -> RocCurve:
         raise DegenerateLabelsError("ROC needs at least one positive and one negative window")
 
     order, ends, ranks = _midranks(scores)
-    # One curve point per run of equal scores, taken at the run's end.
-    tp = np.cumsum(truths[order])[ends]
-    fp = ends + 1 - tp
-    thresholds = scores[order[np.append(0, ends[:-1] + 1)]]
-    points = ((math.inf, 0.0, 0.0),) + tuple(
-        zip(thresholds.tolist(), (fp / n_neg).tolist(), (tp / n_pos).tolist())
-    )
-    return RocCurve(points=points, auc=_auc(int(ranks @ truths), n_pos, len(truths)))
+    # The point (0, 0) at threshold inf, then one per run of equal scores, taken at the run's end.
+    tp = np.append(0, np.cumsum(truths[order])[ends])
+    fp = np.append(0, ends + 1) - tp
+    thresholds = np.append(math.inf, scores[order[np.append(0, ends[:-1] + 1)]])
+    return column_rows((thresholds, fp / n_neg, tp / n_pos)), _auc(int(ranks @ truths), n_pos, len(truths))
+
+
+def roc_curve(scores: np.ndarray, truths: np.ndarray) -> RocCurve:
+    """ROC curve and AUC of ``roc_rows``, with every point held."""
+    rows, auc = roc_rows(scores, truths)
+    return RocCurve(points=tuple(rows), auc=auc)
 
 
 def _midranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,11 +234,16 @@ def grid_evaluate(
     return SweepResult(axes=("w", "labeling", "metric"), cells=tuple(cells))
 
 
-def write_roc_csv(curve: RocCurve, sink: IO[str]) -> None:
-    """threshold,fpr,tpr rows with a trailing '# auc=' comment."""
+def write_roc_rows(rows: Iterable[tuple[float, float, float]], auc: float, sink: IO[str]) -> None:
+    """threshold,fpr,tpr rows, written as they are iterated, with a trailing '# auc=' comment."""
     sink.write("threshold,fpr,tpr\n")
-    sink.writelines(f"{threshold!r},{fpr!r},{tpr!r}\n" for threshold, fpr, tpr in curve.points)
-    sink.write(f"# auc={curve.auc!r}\n")
+    sink.writelines(f"{threshold!r},{fpr!r},{tpr!r}\n" for threshold, fpr, tpr in rows)
+    sink.write(f"# auc={auc!r}\n")
+
+
+def write_roc_csv(curve: RocCurve, sink: IO[str]) -> None:
+    """The ROC CSV of ``write_roc_rows`` for a held curve."""
+    write_roc_rows(curve.points, curve.auc, sink)
 
 
 def write_sweep_csv(result: SweepResult, sink: IO[str]) -> None:

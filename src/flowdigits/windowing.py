@@ -50,8 +50,8 @@ class WindowIndex:
     end: int
 
 
-def _sizes(dataset: FlowDataset, unit: SizeUnit, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Read-only int64 view of the sizes of flows [start, stop); packet counts must all be present."""
+def size_sequence(dataset: FlowDataset, unit: SizeUnit, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Read-only int64 view of the sizes of flows [start, stop) in dataset order; packet counts must all be present."""
     if unit is SizeUnit.BYTES:
         return dataset.bytes_total[start:stop]
     present = dataset.has_packets[start:stop]
@@ -59,11 +59,6 @@ def _sizes(dataset: FlowDataset, unit: SizeUnit, start: int = 0, stop: int | Non
         seq_no = int(dataset.seq_no[start + int(np.argmin(present))])
         raise CapabilityError(f"dataset {dataset.source_name!r} has no packet counts (flow seq_no={seq_no})")
     return dataset.packets_total[start:stop]
-
-
-def size_sequence(dataset: FlowDataset, unit: SizeUnit) -> np.ndarray:
-    """Per-flow sizes in dataset order, as a read-only int64 array."""
-    return _sizes(dataset, unit)
 
 
 def difference_sequence(sizes) -> np.ndarray:
@@ -88,4 +83,4 @@ def window_differences(dataset: FlowDataset, unit: SizeUnit, window: WindowIndex
     """Difference sequence restricted to one window's flows (length w - 1)."""
     if not (0 <= window.start <= window.end <= len(dataset)):
         raise ValueError(f"window {window} out of range for {len(dataset)} flows")
-    return difference_sequence(_sizes(dataset, unit, window.start, window.end))
+    return difference_sequence(size_sequence(dataset, unit, window.start, window.end))

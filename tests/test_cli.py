@@ -10,8 +10,11 @@ from flowdigits import (
     SimilarityMetric,
     WindowSpec,
     ZeroPolicy,
+    evaluation,
     parse_flow_csv,
+    roc_auc,
     run_detector,
+    write_roc_csv,
     write_scores_csv,
 )
 from flowdigits.cli import main
@@ -263,6 +266,42 @@ def test_evaluate_roc_mode(tmp_path, capsys):
     assert "auc=" in capsys.readouterr().out
 
 
+def test_evaluate_roc_streams_the_library_curve_without_building_one(tmp_path, monkeypatch):
+    synth = generate_synth(tmp_path)
+    config = DetectorConfig(window=WindowSpec(500), labeling=LabelingRule(absolute=70))
+    expected = io.StringIO()
+    write_roc_csv(roc_auc((s.score, s.truth) for s in run_detector(parse_flow_csv(synth), config)), expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate --roc held the whole curve")
+
+    monkeypatch.setattr(evaluation, "RocCurve", refuse)
+    monkeypatch.setattr(evaluation, "roc_curve", refuse)
+    out = tmp_path / "roc.csv"
+    assert main(["evaluate", "--roc", "--window", "500", "--labeling-abs", "70", str(synth), "-o", str(out)]) == 0
+    assert out.read_bytes() == expected.getvalue().encode()
+
+
+def test_degenerate_roc_leaves_an_existing_output_and_manifest_untouched(tmp_path, capsys):
+    synth = generate_synth(tmp_path)
+    out, manifest = tmp_path / "roc.csv", tmp_path / "roc.csv.manifest.json"
+    out.write_text("earlier curve\n")
+    manifest.write_text("{}\n")
+    argv = ["evaluate", "--roc", "--window", "500", "--labeling-abs", "501", str(synth), "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith("ROC needs at least one positive and one negative window\n")
+    assert (out.read_text(), manifest.read_text()) == ("earlier curve\n", "{}\n")
+
+
+def test_roc_on_fewer_flows_than_the_window_names_both_and_exits_2(tmp_path, capsys):
+    kdd = tmp_path / "kdd.csv"
+    kdd.write_text(kdd_sample_text(n_normal=180, n_attack=180))
+    argv = ["evaluate", "--roc", "--format", "kdd", "--window", "1000", "--labeling-abs", "5", str(kdd)]
+    assert main(argv + ["-o", str(tmp_path / "roc.csv")]) == 2
+    assert capsys.readouterr().err == "flowdigits: input error: ROC has no windows: 360 flows are fewer than W=1000\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kdd.csv"]
+
+
 def test_score_packets_on_kdd_exit_2(tmp_path, capsys):
     kdd = tmp_path / "kdd.csv"
     kdd.write_text(kdd_sample_text(n_normal=50, n_attack=0))
@@ -420,7 +459,7 @@ def test_roc_of_the_largest_window_size_has_no_windows(tmp_path, capsys):
     synth = generate_synth(tmp_path)
     capsys.readouterr()
     assert main(["evaluate", "--roc", "--window", str(2**63 - 1), "--tl", "0.5", str(synth)]) == 2
-    assert capsys.readouterr().err == "flowdigits: input error: ROC needs at least one positive and one negative window\n"
+    assert capsys.readouterr().err == f"flowdigits: input error: ROC has no windows: 4500 flows are fewer than W={2**63 - 1}\n"
 
 
 @pytest.mark.parametrize(

@@ -156,7 +156,7 @@ LABELING = ["--labeling-abs", "1"]
         ),
         pytest.param("csv", "", LABELING, 2, "missing header line", id="csv-empty"),
         pytest.param("tshark", "", LABELING, 2, "no conversations table", id="tshark-empty"),
-        pytest.param("kdd", "", LABELING, 2, "at least one positive and one negative window", id="kdd-empty"),
+        pytest.param("kdd", "", LABELING, 2, "ROC has no windows: 0 flows are fewer than W=2", id="kdd-empty"),
         pytest.param(
             "kdd", KDD_TEXT, ["--tl", "0.9", "--labeling-abs", "5"], 3, "mutually exclusive", id="roc-tl-and-abs"
         ),
