@@ -7,14 +7,13 @@ connection records. Parsing is single-pass streaming: every parser reads
 its input in chunks of ``_CHUNK_ROWS`` lines or rows (``textblock.chunks``)
 and converts each chunk before it reads the next, so a bad row read before
 a read error raises first. The flow CSV and KDD records convert a chunk
-column-wise. A flow-CSV chunk that fails a check is checked, not
-converted, row by row, which raises at its first bad row; a KDD chunk that
-fails one is read again row by row. The flow CSV splits chunks of plain
-lines on commas and hands the first chunk that is not plain, and the rest
-of the input, to ``csv.reader``, so its quoting rules are those of ``csv``. KDD
-chunks with LF or CRLF line ends are read column-wise alike. tshark checks
-each row as it reads it. Input that is not UTF-8, a truncated or corrupt
-gzip file, or a CSV cell over the ``csv`` field limit, is a ParseError.
+column-wise; a chunk that fails a check is checked, not converted, row by
+row, which raises at its first bad row. The flow CSV splits plain chunks on
+commas and hands the input from its first other chunk to ``csv.reader``;
+KDD chunks drop blank lines and hand only lines with a quote or a stray CR
+to it. tshark checks each row as it reads it. Input that is not UTF-8, a
+truncated or corrupt gzip file, or a CSV cell over the ``csv`` field
+limit, is a ParseError.
 
 A dataset is a columnar flow table: one numpy array per flow field, where
 row i describes the i-th flow in dataset order.
@@ -699,12 +698,10 @@ def _looks_numeric(token: str) -> bool:
         return False
 
 
-def _kdd_size(src_text: str, dst_text: str, line: int) -> int:
-    src_bytes = _int_field(src_text.strip(), "src_bytes", line)
-    dst_bytes = _int_field(dst_text.strip(), "dst_bytes", line)
-    if src_bytes + dst_bytes > MAX_SIZE:
+def _kdd_size(src_text: str, dst_text: str, line: int) -> None:
+    """Raise the ParseError of a TCP line's byte counts unless they are non-negative integers whose sum fits int64."""
+    if _int_field(src_text.strip(), "src_bytes", line) + _int_field(dst_text.strip(), "dst_bytes", line) > MAX_SIZE:
         raise ParseError(f"src_bytes + dst_bytes exceeds {MAX_SIZE}", line)
-    return src_bytes + dst_bytes
 
 
 def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | None = None) -> FlowDataset:
@@ -719,91 +716,92 @@ def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | N
     the dataset after that many TCP flows (for desk-scale runs); no line
     after the last one kept is read.
 
-    Lines are read in chunks (``textblock.chunks``) and converted
-    column-wise: each line is split up to its byte counts, the byte counts
-    of the TCP rows are converted and checked as arrays, and the class is
-    the line's last cell. A chunk that holds a quote, a CR that does not
-    end a CRLF line end, a short or blank line, or a byte count that is not
-    a non-negative integer or overflows the sum, is read row by row
-    instead, which raises at its first bad line with that line's number.
+    Lines are converted a chunk at a time, column-wise (``_kdd_block``),
+    blank, quoted and CR-ended lines alike; a chunk that fails a check is
+    checked line by line instead, which raises at its first bad line.
     """
     if max_flows is not None and max_flows < 1:
         raise ValueError(f"max_flows must be at least 1, got {max_flows}")
-    sizes, labels = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int8)]
+    blocks = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))]  # (bytes_total, label) of each chunk
     with _open_text(source) as stream:
         lineno, kept = 1, 0
         # A line holds at most one record, so a chunk ends at the max_flows-th TCP row at the latest.
         for lines in chunks(stream, lambda: _CHUNK_ROWS if max_flows is None else min(_CHUNK_ROWS, max_flows - kept)):
-            block_sizes, block_labels = _kdd_block(lines) or _kdd_rows(lines, lineno)
-            sizes.append(block_sizes)
-            labels.append(block_labels)
+            blocks.append(_kdd_block(lines, lineno))
             lineno += len(lines)
-            kept += len(block_sizes)
+            kept += len(blocks[-1][0])
             if kept == max_flows:
                 break
             del lines  # free this block before the next one is read
     # The other columns are constant: placeholder endpoints (code 0) and ports, no packets, no duration.
     columns = {name: np.zeros(kept, dtype=dtype) for name, dtype in _COLUMN_TYPES.items()}
-    columns.update(
-        bytes_total=np.concatenate(sizes),
-        label=np.concatenate(labels),
-        rel_start=np.arange(kept, dtype=np.float64),
-        seq_no=np.arange(kept),
-    )
+    columns["bytes_total"], columns["label"] = map(np.concatenate, zip(*blocks))
+    columns.update(rel_start=np.arange(kept, dtype=np.float64), seq_no=np.arange(kept))
     return FlowDataset._from_columns(columns, None, np.zeros(1, dtype=np.uint32), True, source_name)
 
 
-def _kdd_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """(bytes_total, label) of the TCP records among the lines, column-wise; None if a check fails."""
+def _kdd_block(lines: list[str], lineno: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bytes_total, label) of the TCP records among the lines, column-wise; ``lineno`` numbers the first line.
+
+    Each line's head is ``split(",", 6)``, whose last cell ends in the class.
+    A block with a quote, a CR outside a CRLF or a short line reads its odd
+    lines again (``_kdd_cells``), drops blank ones and makes a class's commas
+    semicolons, which keeps it not normal. If a check fails, ``_kdd_rows`` raises.
+    """
     text = "".join(lines)
-    # A CR is read only as part of a CRLF line end: strip() drops it from the class, the line's last cell.
-    if '"' in text or "\r" in text and text.count("\r") != text.count("\r\n"):
-        return None
     heads = [line.split(",", 6) for line in lines]
+    quote, stray_cr = '"' in text, "\r" in text and text.count("\r") != text.count("\r\n")
+    try:  # 35 commas after cell 6 make 42 fields; head[6] reads faster than head[-1]
+        commas = [head[6].count(",") for head in heads]
+    except IndexError:  # a line of fewer than 7 cells, such as a blank one: its last cell holds no comma
+        commas = [head[-1].count(",") for head in heads]
+    fewest = min(commas)
     try:
-        # Cells 6 to the last: at least 42 fields in all.
-        if min([head[6].count(",") for head in heads]) < 35:
-            return None
-    except IndexError:  # a line of fewer than 7 fields, or a blank one
-        return None
-    tcp_names = {name for name in {head[1] for head in heads} if name.strip().lower() == "tcp"}
-    tcp = [head for head in heads if head[1] in tcp_names]
-    try:
-        src, dst = _ints([head[4] for head in tcp]), _ints([head[5] for head in tcp])
-    except (ValueError, OverflowError):
-        return None
-    if not ((src >= 0) & (dst >= 0)).all() or not (src <= MAX_SIZE - dst).all():
-        return None
+        if quote or stray_cr or fewest < 35:
+            odd = [i for i, count in enumerate(commas) if count < 35] if fewest < 35 else []
+            odd += [i for i, line in enumerate(lines) if '"' in line] if quote else []
+            odd += [i for i, line in enumerate(lines) if "\r" in line.rstrip("\r\n")] if stray_cr else []
+            for i in sorted(set(odd), reverse=True):  # from the last: dropping a head keeps the earlier indices
+                row = _kdd_cells(lines[i])
+                heads[i : i + 1] = [row[:6] + ["," * (len(row) - 7) + row[-1].replace(",", ";")]] if row else []
+                commas[i] = len(row) - 7 if row else 35
+            fewest = min(commas)
+        tcp_names = {name for name in {head[1] for head in heads} if name.strip().lower() == "tcp"}
+        tcp = [head for head in heads if head[1] in tcp_names]
+        try:
+            src, dst = _ints([head[4] for head in tcp]), _ints([head[5] for head in tcp])
+        except ValueError:  # a count that only str.strip() cleans, such as "\x1c15"
+            src, dst = (_ints([head[k].strip() for head in tcp]) for k in (4, 5))
+        valid = fewest >= 35 and bool(((src >= 0) & (dst >= 0) & (src <= MAX_SIZE - dst)).all())
+    except (IndexError, ValueError, OverflowError, csv.Error):
+        valid = False
+    if not valid:
+        _kdd_rows(lines, lineno)
     classes = [head[6].rpartition(",")[2] for head in tcp]
     normal = {cls for cls in set(classes) if cls.strip().rstrip(".") == "normal"}
     return src + dst, np.array([cls not in normal for cls in classes], dtype=np.int8)
 
 
-def _kdd_rows(lines: list[str], lineno: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bytes_total, label) of the TCP records among the lines, row by row; ``lineno`` numbers the first line.
+def _kdd_cells(line: str) -> list[str]:
+    """A line's cells: split on commas, or read by ``csv.reader`` if it holds a quote or a CR before its line end."""
+    line = line.rstrip("\r\n")
+    if '"' in line or "\r" in line:
+        return next(csv.reader([line]))
+    return line.split(",") if line else []
 
-    Lines are split on commas. A line with a quote, or with a CR that a text
-    stream split on LF alone left in it, is read by ``csv.reader``.
-    """
-    sizes, labels = [], []
-    for lineno, line in enumerate(lines, start=lineno):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        if '"' in line or "\r" in line:
-            try:
-                row = next(csv.reader([line]))
-            except csv.Error as exc:  # such as a cell over the field limit
-                raise ParseError(str(exc), lineno) from None
-        else:
-            row = line.split(",")
-        if len(row) < 42:
-            raise ParseError(f"expected at least 42 fields, got {len(row)}", lineno)
-        if row[1].strip().lower() != "tcp":
-            continue
-        sizes.append(_kdd_size(row[4], row[5], lineno))
-        labels.append(0 if row[-1].strip().rstrip(".") == "normal" else 1)
-    return np.array(sizes, dtype=np.int64), np.array(labels, dtype=np.int8)
+
+def _kdd_rows(lines: list[str], lineno: int) -> None:
+    """Raise the first bad line's ParseError, checked row by row; ``lineno`` numbers the first. Else AssertionError."""
+    for number, line in enumerate(lines, start=lineno):
+        try:
+            row = _kdd_cells(line)
+        except csv.Error as exc:  # such as a cell over the field limit
+            raise ParseError(str(exc), number) from None
+        if row and len(row) < 42:
+            raise ParseError(f"expected at least 42 fields, got {len(row)}", number)
+        if row and row[1].strip().lower() == "tcp":
+            _kdd_size(row[4], row[5], number)
+    raise AssertionError(f"lines {lineno}..{lineno + len(lines) - 1} fail the column checks but pass the row checks")
 
 
 def flow_order(dataset: FlowDataset, scheme: OrderingScheme) -> np.ndarray:

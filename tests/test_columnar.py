@@ -617,19 +617,29 @@ KDD_LINES = [kdd_line(), kdd_line(cls="neptune."), kdd_line(src_bytes="7")]
 
 
 @pytest.mark.parametrize(
-    "lines",
+    "lines, pinned",
     [
-        pytest.param([kdd_line(service='"http,x"'), *KDD_LINES], id="quoted-service"),
-        pytest.param([kdd_line(service='"a ""b"""'), *KDD_LINES], id="escaped-quote"),
-        pytest.param([*KDD_LINES, kdd_line(src_bytes='"15"')], id="quoted-bytes"),
-        pytest.param([kdd_line(src_bytes='" 15 "'), kdd_line(src_bytes='"1,5"')], id="quoted-bad-bytes"),
-        pytest.param([kdd_line(cls="normal.\0"), kdd_line(cls="nor\0mal."), *KDD_LINES], id="nul-in-class"),
+        pytest.param([kdd_line(service='"http,x"'), *KDD_LINES], None, id="quoted-service"),
+        pytest.param([kdd_line(service='"a ""b"""'), *KDD_LINES], None, id="escaped-quote"),
+        pytest.param([*KDD_LINES, kdd_line(src_bytes='"15"')], None, id="quoted-bytes"),
+        pytest.param([kdd_line(src_bytes='" 15 "'), kdd_line(src_bytes='"1,5"')], None, id="quoted-bad-bytes"),
+        # csv.reader before Python 3.11 refuses NUL; these unquoted lines are split on commas on every version.
+        pytest.param(
+            [kdd_line(cls="normal.\0"), kdd_line(cls="nor\0mal."), *KDD_LINES],
+            ([30, 30, 30, 30, 27], [1, 1, 0, 1, 0]),
+            id="nul-in-class",
+        ),
     ],
 )
 @pytest.mark.parametrize("chunk_rows", [1, 4096])
-def test_adapt_kdd_reads_quoted_and_nul_lines_like_the_csv_reader(lines, chunk_rows):
+def test_adapt_kdd_reads_quoted_and_nul_lines_like_the_csv_reader(lines, pinned, chunk_rows):
     text = "\n".join(lines) + "\n"
-    assert outcome(adapt_kdd, text, chunk_rows) == ref_outcome(ref_adapt_kdd, text)
+    got = outcome(adapt_kdd, text, chunk_rows)
+    if pinned is None:
+        assert got == ref_outcome(ref_adapt_kdd, text)
+    else:
+        flows, labeled = got
+        assert ([flow.bytes_total for flow in flows], [flow.label for flow in flows], labeled) == (*pinned, True)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
@@ -733,6 +743,96 @@ def test_adapt_kdd_reads_a_crlf_file_column_wise(tmp_path):
     lf = adapt_kdd(tmp_path / "lf.data")
     for name in ingest._COLUMN_TYPES:
         assert np.array_equal(getattr(crlf, name), getattr(lf, name)), name
+
+
+class LineCountingStringIO(io.StringIO):
+    """A text stream that counts the lines read from it."""
+
+    lines = 0
+
+    def __next__(self):
+        line = super().__next__()
+        self.lines += 1
+        return line
+
+
+def ref_kdd_outcome(stream, max_flows):
+    """ref_adapt_kdd's outcome; a csv.Error is a ParseError at the line it was read on (no record spans lines)."""
+    try:
+        return ref_adapt_kdd(stream, max_flows=max_flows)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    except csv.Error as exc:
+        return ParseError, f"line {stream.lines}: {exc}", stream.lines
+
+
+#: Valid lines unlike the well-formed ones: blank, quoted (commas, escapes, a class with a comma) and padded counts.
+ODD_KDD_LINES = st.sampled_from(
+    [
+        "",
+        kdd_line(service='"ht,tp"'),
+        kdd_line(service='"a ""b"""'),
+        kdd_line(src_bytes='"15"'),
+        kdd_line(src_bytes='" 15 "'),
+        kdd_line(src_bytes="\x1c15"),
+        kdd_line(src_bytes="15\x1c"),
+        kdd_line(src_bytes=" 15 "),
+        kdd_line(protocol='" TCP "'),
+        kdd_line(protocol='"udp"'),
+        kdd_line(cls='"normal."'),
+        kdd_line(cls='"x,normal."'),
+        kdd_line(cls='"normal.,"'),
+        kdd_line(cls='" normal. "'),
+        kdd_line(service='"x"', cls='"neptune."'),
+    ]
+)
+BAD_KDD_LINES = st.sampled_from(
+    [
+        kdd_line(src_bytes='"1,5"'),
+        kdd_line(src_bytes="-1"),
+        kdd_line(src_bytes="x"),
+        kdd_line(src_bytes=str(MAX_SIZE)),
+        ",".join(kdd_line().split(",")[:41]),
+        ",".join(kdd_line(service='"a,b"').split(",")[:41]),
+        "0,tcp,http",
+        "   ",
+    ]
+)
+
+
+@FUZZ
+@given(
+    kinds=st.lists(st.sampled_from(["well-formed", "odd", "odd", "odd", "bad"]), max_size=16),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    as_bytes=st.booleans(),
+    chunk_rows=st.integers(1, 4),
+    data=st.data(),
+)
+def test_adapt_kdd_blocks_with_several_odd_lines_match_rowwise_reference(kinds, newline, as_bytes, chunk_rows, data):
+    kind_lines = {"well-formed": well_formed_kdd_lines, "odd": ODD_KDD_LINES, "bad": BAD_KDD_LINES}
+    lines = [data.draw(kind_lines[kind], label=kind) for kind in kinds]
+    text = newline.join(lines) + data.draw(st.sampled_from(["", newline]), label="end")
+    max_flows = data.draw(st.one_of(st.none(), st.integers(1, len(lines) + 1)), label="max_flows")
+    source = text.encode() if as_bytes else io.StringIO(text)
+    # Bytes are read with universal newlines; a text stream as it is, here split on LF alone.
+    expected = ref_kdd_outcome(LineCountingStringIO(text, newline="" if as_bytes else "\n"), max_flows)
+    assert outcome(lambda _unused: adapt_kdd(source, max_flows=max_flows), text, chunk_rows) == expected
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_adapt_kdd_reads_blank_and_quoted_lines_column_wise(tmp_path, newline):
+    lines = [kdd_line(src_bytes=str(37 * i % 1000), cls=("normal.", "smurf.")[i % 3 == 0]) for i in range(1600)]
+    for i in range(250, 1600, 500):
+        lines[i] = ""
+        lines[i + 1] = kdd_line(cls=('"x,normal."', '"normal."')[i // 500 % 2])
+    path = tmp_path / "kddcup.data"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    with mock.patch.object(ingest, "_kdd_rows", refuse_rows):
+        dataset = adapt_kdd(path)
+    assert (dataset.flows, dataset.labeled) == ref_adapt_kdd(path)
+    assert len(dataset) == 1597 and dataset.label[[250, 749, 1248]].tolist() == [1, 0, 1]
+    with pytest.raises(AssertionError, match=r"^lines 7\.\.1606 fail the column checks but pass the row checks$"):
+        ingest._kdd_rows([line + newline for line in lines], 7)
 
 
 # -- chunk reader property ------------------------------------------------------------
