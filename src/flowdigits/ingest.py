@@ -6,14 +6,15 @@ table printed by ``tshark -r <pcap> -q -z conv,tcp``, and KDD Cup 1999
 connection records. Parsing is single-pass streaming: every parser reads
 its input in chunks of ``_CHUNK_ROWS`` lines or rows (``textblock.chunks``)
 and converts each chunk before it reads the next, so a bad row read before
-a read error raises first. The flow CSV and KDD records convert a chunk
-column-wise; a chunk that fails a check is checked, not converted, row by
-row, which raises at its first bad row. The flow CSV splits plain chunks on
-commas and hands the input from its first other chunk to ``csv.reader``;
-KDD chunks drop blank lines and hand only lines with a quote or a stray CR
-to it. tshark checks each row as it reads it. Input that is not UTF-8, a
-truncated or corrupt gzip file, or a CSV cell over the ``csv`` field
-limit, is a ParseError.
+a read error raises first. The table builder (``_TableBuilder``) appends
+each converted chunk to columns that grow in place. The flow CSV and KDD
+records convert a chunk column-wise; a chunk that fails a check is
+checked, not converted, row by row, which raises at its first bad row. The
+flow CSV splits plain chunks on commas and hands the input from its first
+other chunk to ``csv.reader``; KDD chunks drop blank lines and hand only
+lines with a quote or a stray CR to it. tshark checks each row as it reads
+it. Input that is not UTF-8, a truncated or corrupt gzip file, or a CSV
+cell over the ``csv`` field limit, is a ParseError.
 
 A dataset is a columnar flow table: one numpy array per flow field, where
 row i describes the i-th flow in dataset order.
@@ -276,12 +277,23 @@ def _address_ranks(addresses: Sequence[str]) -> np.ndarray:
     return np.unique(keys, return_inverse=True)[1]
 
 
+def _rank_ipv4(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The sorted distinct numbers of two IPv4 code columns (uint32 bits as int32), whose numbers become their ranks."""
+    ipv4, ranks = np.unique(np.concatenate((src, dst)).view(np.uint32), return_inverse=True)
+    src[:], dst[:] = ranks[: len(src)], ranks[len(src) :]
+    return ipv4
+
+
 class _TableBuilder:
-    """Collects flow columns a chunk at a time, with one code per distinct address."""
+    """Collects flow columns a chunk at a time, with one code per distinct address.
+
+    Each column is one array that ``add`` grows in place, doubling it with ``ndarray.resize`` (a realloc), and
+    ``columns`` cuts to ``n_rows``. No view of a column is kept across an ``add``.
+    """
 
     def __init__(self):
-        self._chunks: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMN_TYPES}
-        self._index: dict[str, int] | None = None  # string table; None while the code chunks hold IPv4 numbers (int32)
+        self._columns = {name: np.empty(0, dtype=dtype) for name, dtype in _COLUMN_TYPES.items()}
+        self._index: dict[str, int] | None = None  # string table; None while the code columns hold IPv4 numbers (int32)
         self.n_rows = 0
 
     def codes(self, src: Sequence[str], dst: Sequence[str], validate: bool) -> dict[str, np.ndarray] | None:
@@ -290,9 +302,10 @@ class _TableBuilder:
             values = ipv4_values([*src, *dst])
             if values is not None:
                 return dict(zip(("src_code", "dst_code"), np.split(values.view(np.int32), [len(src)])))
-            self._index = {}  # the first chunk that is not all IPv4: format the numbers so far into it
+            self._index = {}  # the first chunk that is not all IPv4: intern the numbers so far in place
             for name in ("src_code", "dst_code"):
-                self._chunks[name] = [self._intern(ipv4_texts(chunk.view(np.uint32))) for chunk in self._chunks[name]]
+                codes = self._columns[name][: self.n_rows]
+                codes[:] = self._intern(ipv4_texts(codes.view(np.uint32)))
         if validate and not all(map(_is_address, set(src).union(dst).difference(self._index))):
             return None
         return {"src_code": self._intern(src), "dst_code": self._intern(dst)}
@@ -303,11 +316,13 @@ class _TableBuilder:
 
     def add(self, **columns) -> None:
         """Append one chunk of rows; seq_no defaults to the rows' positions."""
-        n = len(columns["bytes_total"])
-        columns.setdefault("seq_no", np.arange(self.n_rows, self.n_rows + n))
-        for name, dtype in _COLUMN_TYPES.items():
-            self._chunks[name].append(np.asarray(columns[name], dtype=dtype))
-        self.n_rows += n
+        start, end = self.n_rows, self.n_rows + len(columns["bytes_total"])
+        columns.setdefault("seq_no", np.arange(start, end))
+        for name, column in self._columns.items():
+            if end > len(column):
+                column.resize(max(end, 2 * len(column)), refcheck=False)
+            column[start:end] = columns[name]
+        self.n_rows = end
 
     def add_rows(self, rows: Iterable[tuple]) -> None:
         """Append rows of checked FlowRecord field values (None: absent; seq_no optional), a chunk at a time."""
@@ -327,18 +342,13 @@ class _TableBuilder:
             )
 
     def columns(self) -> tuple[dict[str, np.ndarray], tuple[str, ...] | None, np.ndarray | None]:
-        """(columns, address table, IPv4 numbers), one of the two None; chunks are freed column by column."""
-        columns = {}
-        for name, dtype in _COLUMN_TYPES.items():
-            chunks = self._chunks[name]
-            columns[name] = np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
-            chunks.clear()
+        """(columns, address table, IPv4 numbers), one of the two None; the builder hands its arrays over."""
+        columns, self._columns = self._columns, None
+        for column in columns.values():
+            column.resize(self.n_rows, refcheck=False)
         if self._index is not None:
             return columns, tuple(self._index), None
-        numbers = np.concatenate((columns["src_code"], columns["dst_code"])).view(np.uint32)
-        ipv4, codes = np.unique(numbers, return_inverse=True)
-        columns["src_code"], columns["dst_code"] = np.split(codes.astype(np.int32), 2)
-        return columns, None, ipv4
+        return columns, None, _rank_ipv4(columns["src_code"], columns["dst_code"])
 
     def dataset(self, labeled: bool | None, source_name: str) -> FlowDataset:
         """The collected flows; ``labeled=None`` means labeled iff every flow has a label."""
@@ -353,23 +363,25 @@ def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
     """Normalize a path / bytes / binary stream / text stream to a text stream.
 
     Paths are opened and closed here; paths ending in .gz are decompressed
-    transparently. A caller's stream is never closed: a binary one is read
-    through a wrapper that is detached from it afterwards. Bytes that are
-    not UTF-8 raise a ParseError with their byte offset, and for ``bytes``
-    input with their line. So does a truncated or corrupt gzip stream, with
-    the offset up to which it decompressed.
+    transparently. ``bytes`` are decoded as they are read, through a wrapper
+    over a ``BytesIO``. A caller's stream is never closed: a binary one is
+    read through a wrapper that is detached from it afterwards. Bytes that
+    are not UTF-8 raise a ParseError with their byte offset, and for
+    ``bytes`` input with their line. So does a truncated or corrupt gzip
+    stream, with the offset up to which it decompressed.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as binary, _open_text(binary) as stream:
             yield stream
     elif isinstance(source, (bytes, bytearray)):
-        try:
-            text = source.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            offset = len(source) - len(exc.object) + exc.start
-            raise _undecodable(exc, offset, _line_breaks(source[:offset]) + 1) from None
-        yield io.StringIO(text, newline="")
+        binary = io.BytesIO(source)
+        with io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as stream:
+            try:
+                yield stream
+            except UnicodeDecodeError as exc:
+                offset = binary.tell() - len(exc.object) + exc.start  # as for a binary stream, below
+                raise _undecodable(exc, offset, _line_breaks(source[:offset]) + 1) from None
     elif hasattr(source, "read"):
         binary = isinstance(source.read(0), bytes)
         stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="") if binary else source

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .ingest import MAX_SIZE, FlowDataset
+from .ingest import MAX_SIZE, FlowDataset, _rank_ipv4
 
 #: Fixed nominal packet size (bytes) used to derive packet counts.
 NOMINAL_PACKET_BYTES = 500
@@ -138,50 +138,37 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
         sizes[span] = _burst_sizes(burst, rng)
         labels[span] = 1
     sizes[labels == 0] = normal
+    del normal
 
     packets = np.maximum(1, sizes // NOMINAL_PACKET_BYTES)
     durations = rng.uniform(0.0, 1.0, total)
-    src_octets = rng.integers(0, 256, size=(total, 3), dtype=np.int64)
-    src_ports = rng.integers(1024, 65536, size=total, dtype=np.int64)
-    dst_octets = rng.integers(0, 256, size=(total, 2), dtype=np.int64)
-    dst_ports = rng.integers(1, 65536, size=total, dtype=np.int64)
-
-    # One fixed target endpoint per burst: scripted traffic hammers a single
-    # destination while sources stay random. Addresses are IPv4 numbers;
-    # the table formats them only where they are read.
-    src_ips = _ipv4(10, src_octets[:, 0], src_octets[:, 1], src_octets[:, 2])
-    dst_ips = _ipv4(192, 168, dst_octets[:, 0], dst_octets[:, 1])
+    # Addresses are IPv4 numbers until they are ranked, each octet draw folded in as it is drawn; the table
+    # formats them only where they are read.
+    src_codes = _ipv4(10, rng.integers(0, 256, size=(total, 3), dtype=np.int64))
+    src_ports = rng.integers(1024, 65536, size=total, dtype=np.int64).astype(np.int32)
+    dst_codes = _ipv4(192 << 8 | 168, rng.integers(0, 256, size=(total, 2), dtype=np.int64))
+    dst_ports = rng.integers(1, 65536, size=total, dtype=np.int64).astype(np.int32)
+    # One fixed target endpoint per burst: scripted traffic hammers one destination while sources stay random.
     for burst in attacks:
         target = rng.integers(0, 256, size=2)
         span = slice(burst.start_index, burst.start_index + burst.length)
-        dst_ips[span] = _ipv4(172, 16, int(target[0]), int(target[1]))
+        dst_codes[span] = _ipv4(172 << 8 | 16, target)
         dst_ports[span] = int(rng.integers(1, 65536))
 
-    distinct, codes = np.unique(np.concatenate((src_ips, dst_ips)), return_inverse=True)
-    return FlowDataset._from_columns(
-        {
-            "bytes_total": sizes,
-            "packets_total": packets,
-            "has_packets": np.ones(total, dtype=bool),
-            "rel_start": np.arange(total) * START_SPACING_S,
-            "duration": durations,
-            "label": labels,
-            "src_port": src_ports.astype(np.int32),
-            "dst_port": dst_ports.astype(np.int32),
-            "seq_no": np.arange(total, dtype=np.int64),
-            "src_code": codes[:total].astype(np.int32),
-            "dst_code": codes[total:].astype(np.int32),
-        },
-        None,
-        distinct.astype(np.uint32),
-        labeled=True,
-        source_name=f"synthetic(seed={spec.seed})",
+    ipv4 = _rank_ipv4(src_codes, dst_codes)
+    columns = dict(
+        bytes_total=sizes, packets_total=packets, has_packets=np.ones(total, dtype=bool), label=labels,
+        rel_start=np.arange(total) * START_SPACING_S, duration=durations, seq_no=np.arange(total, dtype=np.int64),
+        src_port=src_ports, dst_port=dst_ports, src_code=src_codes, dst_code=dst_codes,
     )
+    return FlowDataset._from_columns(columns, None, ipv4, labeled=True, source_name=f"synthetic(seed={spec.seed})")
 
 
-def _ipv4(a, b, c, d):
-    """The IPv4 address a.b.c.d as a number; octets are ints or int64 arrays."""
-    return (np.int64(a) << 24) | (np.int64(b) << 16) | (np.int64(c) << 8) | d
+def _ipv4(head: int, octets: np.ndarray) -> np.ndarray:
+    """IPv4 numbers, as uint32 bits viewed as int32, of the leading octets ``head`` and each row of ``octets``."""
+    width = octets.shape[-1]
+    numbers = octets @ (256 ** np.arange(width - 1, -1, -1)) + (head << 8 * width)
+    return numbers.astype(np.uint32).view(np.int32)
 
 
 def describe(spec: GeneratorSpec) -> str:
@@ -197,9 +184,7 @@ def describe(spec: GeneratorSpec) -> str:
             shape = f"constant {burst.pattern.value} B"
         else:
             shape = f"uniform [{burst.pattern.lo}, {burst.pattern.hi}] B"
-        lines.append(
-            f"    flows [{burst.start_index}, {burst.start_index + burst.length}): {shape}"
-        )
+        lines.append(f"    flows [{burst.start_index}, {burst.start_index + burst.length}): {shape}")
     lines.append(f"  malicious flows: {spec.n_malicious}")
     lines.append(f"  total flows:     {spec.total_flows}")
     return "\n".join(lines)

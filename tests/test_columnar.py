@@ -1328,6 +1328,95 @@ def test_records_switching_from_ipv4_to_hostnames_match_string_interning_referen
         assert_table_matches_reference(dataset, flows, labels is not None)
 
 
+# -- the growing table builder against chunk lists joined by np.concatenate ------------
+
+
+class ChunkListTable:
+    """The reference builder: a list of chunk arrays per column, joined once by ``np.concatenate``."""
+
+    add_rows = ingest._TableBuilder.add_rows
+
+    def __init__(self):
+        self.chunks = {name: [] for name in ingest._COLUMN_TYPES}
+        self.index = None  # string table; None while the code chunks hold IPv4 numbers
+        self.n_rows = 0
+
+    def codes(self, src, dst, validate):
+        assert not validate
+        if self.index is None:
+            values = textblock.ipv4_values([*src, *dst])
+            if values is not None:
+                return dict(zip(("src_code", "dst_code"), np.split(values.view(np.int32), [len(src)])))
+            self.index = {}
+            for name in ("src_code", "dst_code"):
+                self.chunks[name] = [self.intern(textblock.ipv4_texts(c.view(np.uint32))) for c in self.chunks[name]]
+        return {"src_code": self.intern(src), "dst_code": self.intern(dst)}
+
+    def intern(self, texts):
+        return np.array([self.index.setdefault(text, len(self.index)) for text in texts], dtype=np.int32)
+
+    def add(self, **columns):
+        n = len(columns["bytes_total"])
+        columns.setdefault("seq_no", np.arange(self.n_rows, self.n_rows + n))
+        for name, dtype in ingest._COLUMN_TYPES.items():
+            self.chunks[name].append(np.asarray(columns[name], dtype=dtype))
+        self.n_rows += n
+
+    def columns(self):
+        columns = {
+            name: np.concatenate(self.chunks[name]) if self.chunks[name] else np.empty(0, dtype=dtype)
+            for name, dtype in ingest._COLUMN_TYPES.items()
+        }
+        if self.index is not None:
+            return columns, tuple(self.index), None
+        numbers = np.concatenate((columns["src_code"], columns["dst_code"])).view(np.uint32)
+        ipv4, codes = np.unique(numbers, return_inverse=True)
+        columns["src_code"], columns["dst_code"] = np.split(codes.astype(np.int32), 2)
+        return columns, None, ipv4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.one_of(
+        st.lists(st.tuples(IPV4_ENDPOINTS, IPV4_ENDPOINTS), max_size=30),
+        switching_endpoints(st.sampled_from(TSHARK_HOSTS + ("2001:db8::1", "a00::", "01.2.3.4"))),
+    ),
+    chunk_rows=st.sampled_from([1, 3, 7]),
+    data=st.data(),
+)
+def test_growing_table_builder_equals_chunk_lists_joined_by_concatenate(pairs, chunk_rows, data):
+    """Columns grown in place many times, switching to interned strings at a random chunk, equal the reference's."""
+    rows = [
+        (
+            src,
+            data.draw(st.integers(0, 65535)),
+            dst,
+            data.draw(st.integers(0, 65535)),
+            data.draw(st.one_of(st.none(), st.integers(0, MAX_SIZE))),
+            data.draw(st.integers(0, MAX_SIZE)),
+            data.draw(st.floats(0.0, 1e9)),
+            data.draw(st.floats(0.0, 1e3)),
+            data.draw(st.sampled_from([None, 0, 1])),
+        )
+        for src, dst in pairs
+    ]
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        table, reference = ingest._TableBuilder(), ChunkListTable()
+        table.add_rows(rows)
+        reference.add_rows(rows)
+    dataset = table.dataset(labeled=None, source_name="")
+    columns, addresses, ipv4 = reference.columns()
+    for name, expected in columns.items():
+        got = getattr(dataset, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        assert not got.flags.writeable
+    assert dataset._addresses == addresses
+    if ipv4 is None:
+        assert dataset._ipv4 is None
+    else:
+        assert dataset._ipv4.dtype == ipv4.dtype and np.array_equal(dataset._ipv4, ipv4)
+
+
 # -- IPv4 endpoint strings are built only where they are read --------------------------
 
 
