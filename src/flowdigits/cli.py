@@ -15,6 +15,8 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable
 
@@ -28,7 +30,7 @@ from .errors import (
     GeneratorSpecError,
     ParseError,
 )
-from .evaluation import grid_evaluate, roc_rows, window_size_sweep, write_roc_rows, write_sweep_csv
+from .evaluation import grid_evaluate, require_labels, roc_rows, window_size_sweep, write_roc_rows, write_sweep_csv
 from .ingest import FlowDataset, OrderingScheme, adapt_kdd, parse_flow_csv, parse_tshark_conversations, write_flow_csv
 from .similarity import KldParams, SimilarityMetric
 from .synth import AttackBurst, ConstantSize, GeneratorSpec, UniformSize, describe, generate
@@ -75,18 +77,12 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _config_dict(config: DetectorConfig, step: int | None = None) -> dict:
-    """The manifest's config; a grid's ``step`` is recorded as the window slide."""
-    return {
-        "window": {"w": config.window.w, "s": config.window.s if step is None else step},
-        "metric": config.metric.value,
-        "unit": config.unit.value,
-        "zero_policy": config.zero_policy.value,
-        "ordering": config.ordering.value,
-        "threshold_t": config.threshold_t,
-        "kld_theta": config.kld.theta,
-        "labeling": None if config.labeling is None else config.labeling.describe(),
-    }
+def _config_dict(config: DetectorConfig | GeneratorSpec, step: int | None = None) -> dict:
+    """The manifest's config: the config's fields; a grid's ``step`` is recorded as the window slide."""
+    fields = asdict(config)
+    if step is not None:
+        fields["window"]["s"] = step
+    return fields
 
 
 def _checked_output(output: str, input_path: str | None) -> str:
@@ -116,7 +112,7 @@ def _write_output(
         "output_sha256": _sha256(output),
     }
     with open(f"{output}.manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        json.dump(manifest, handle, indent=2, sort_keys=True, default=attrgetter("value"))  # enums by value
         handle.write("\n")
     return written
 
@@ -233,8 +229,7 @@ def cmd_evaluate(args) -> int:
         metric_set = _parse_list(args.metrics, lambda m: SimilarityMetric(m.strip()), "--metrics")
     output = _checked_output(args.output or ("roc.csv" if args.roc else "sweep.csv"), args.input)
     dataset = _load_dataset(args.input, args.format, args.max_flows)
-    if not dataset.labeled:
-        raise CapabilityError("evaluation requires a labeled dataset")
+    require_labels(dataset)
 
     if args.roc:
         if len(dataset) < config.window.w:
@@ -300,22 +295,7 @@ def cmd_generate(args) -> int:
     )
     _checked_output(args.output, None)
     dataset = generate(spec)
-    _write_output(
-        args.output,
-        lambda h: write_flow_csv(dataset, h),
-        "generate",
-        {
-            "seed": spec.seed,
-            "n_normal": spec.n_normal,
-            "size_decades": list(spec.size_decades),
-            "size_model": spec.size_model,
-            "bursts": [
-                {"start_index": b.start_index, "length": b.length, "pattern": b.pattern.__class__.__name__}
-                for b in spec.attacks
-            ],
-        },
-        None,
-    )
+    _write_output(args.output, lambda h: write_flow_csv(dataset, h), "generate", _config_dict(spec), None)
     print(describe(spec))
     print(f"wrote {spec.total_flows} flows -> {args.output}")
     return 0

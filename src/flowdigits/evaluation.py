@@ -189,6 +189,17 @@ def window_size_sweep(
     return SweepResult(axes=("w",), cells=tuple(cells))
 
 
+def require_labels(dataset: FlowDataset) -> None:
+    """Unless the dataset is labeled, raise a CapabilityError that says why: which flows lack labels, or none do."""
+    if not dataset.labeled:
+        missing, n = np.flatnonzero(dataset.label < 0), len(dataset)
+        why = "it was built unlabeled, though every flow carries a label"
+        if len(missing):
+            why = f"{len(missing)} of {n} flows have no label, the first at seq_no {dataset.seq_no[missing[0]]}"
+            why += " (a label cell other than 0 or 1 counts as none)"
+        raise CapabilityError(f"evaluation requires a labeled dataset: {why}")
+
+
 def grid_evaluate(
     dataset: FlowDataset,
     base_config: DetectorConfig,
@@ -207,8 +218,7 @@ def grid_evaluate(
     absent with reason "degenerate labels". ``threads`` is accepted and
     ignored: the work is array code, and a thread pool measured no faster.
     """
-    if not dataset.labeled:
-        raise CapabilityError("grid evaluation requires a labeled dataset")
+    require_labels(dataset)
     flows = OrderedFlows(dataset, base_config)
     cells: list[SweepCell] = []
     for w in w_grid:

@@ -53,7 +53,7 @@ import ipaddress
 import math
 import re
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
@@ -363,43 +363,37 @@ def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
     """Normalize a path / bytes / binary stream / text stream to a text stream.
 
     Paths are opened and closed here; paths ending in .gz are decompressed
-    transparently. ``bytes`` are decoded as they are read, through a wrapper
-    over a ``BytesIO``. A caller's stream is never closed: a binary one is
-    read through a wrapper that is detached from it afterwards. Bytes that
-    are not UTF-8 raise a ParseError with their byte offset, and for
-    ``bytes`` input with their line. So does a truncated or corrupt gzip
-    stream, with the offset up to which it decompressed.
+    transparently. Paths and ``bytes`` (as a ``BytesIO``) take the binary
+    stream path: one text wrapper decodes what it reads, and is detached
+    afterwards, so a caller's stream is never closed. Bytes that are not
+    UTF-8 raise a ParseError with their byte offset, and for ``bytes`` input
+    with their line. So does a truncated or corrupt gzip stream, with the
+    offset up to which it decompressed.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as binary, _open_text(binary) as stream:
             yield stream
-    elif isinstance(source, (bytes, bytearray)):
-        binary = io.BytesIO(source)
-        with io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as stream:
-            try:
-                yield stream
-            except UnicodeDecodeError as exc:
-                offset = binary.tell() - len(exc.object) + exc.start  # as for a binary stream, below
-                raise _undecodable(exc, offset, _line_breaks(source[:offset]) + 1) from None
-    elif hasattr(source, "read"):
-        binary = isinstance(source.read(0), bytes)
-        stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="") if binary else source
-        try:
-            yield stream
-        except UnicodeDecodeError as exc:
-            # The wrapper decodes the bytes it last read, which end at the stream's tell().
-            offset = source.tell() - len(exc.object) + exc.start if binary and source.seekable() else None
-            raise _undecodable(exc, offset) from None
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            offset = source.tell() if binary and source.seekable() else None
-            at = "" if offset is None else f" after byte offset {offset}"
-            raise ParseError(f"compressed input is truncated or corrupt{at}: {exc}") from None
-        finally:
-            if binary:
-                stream.detach()
-    else:
+        return
+    data = source if isinstance(source, (bytes, bytearray)) else None
+    source = source if data is None else io.BytesIO(data)
+    if not hasattr(source, "read"):
         raise TypeError(f"unsupported input source: {type(source)!r}")
+    binary = isinstance(source.read(0), bytes)
+    stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="") if binary else source
+    try:
+        yield stream
+    except UnicodeDecodeError as exc:
+        # The wrapper decodes the bytes it last read, which end at the stream's tell().
+        offset = source.tell() - len(exc.object) + exc.start if binary and source.seekable() else None
+        raise _undecodable(exc, offset, None if data is None else _line_breaks(data[:offset]) + 1) from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        offset = source.tell() if binary and source.seekable() else None
+        at = "" if offset is None else f" after byte offset {offset}"
+        raise ParseError(f"compressed input is truncated or corrupt{at}: {exc}") from None
+    finally:
+        if binary:
+            stream.detach()
 
 
 def _line_breaks(data: bytes) -> int:
@@ -590,15 +584,11 @@ def _csv_rows(reader, width: int, before: int) -> Iterator[tuple[list[str], int]
 def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
     """Serialize a dataset to the canonical flow CSV (round-trips exactly).
 
-    The text is that of ``csv.writer``: floats are written as ``repr``, so
-    they round-trip exactly, and addresses are quoted by csv rules. Each
-    chunk is one ``%`` template; unbuilt IPv4 strings are formatted per chunk.
+    One ``with`` opens and closes a path, or takes a caller's stream and leaves it open. The text is that of
+    ``csv.writer``: floats are written as ``repr``, so they round-trip exactly, and addresses are quoted by csv
+    rules. Each chunk is one ``%`` template; unbuilt IPv4 strings are formatted per chunk.
     """
-    if isinstance(sink, (str, Path)):
-        stream, owns = open(sink, "w", encoding="utf-8", newline=""), True
-    else:
-        stream, owns = sink, False
-    try:
+    with nullcontext(sink) if hasattr(sink, "write") else open(sink, "w", encoding="utf-8", newline="") as stream:
         with_label = dataset.labeled or bool((dataset.label >= 0).any())
         header = CSV_COLUMNS + ((CSV_LABEL_COLUMN,) if with_label else ())
         stream.write(",".join(header) + "\n")
@@ -609,9 +599,6 @@ def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
             values = dataset._row_values(slice(lo, lo + _CHUNK_ROWS), "", addresses)[: len(header)]
             cells = tuple(chain.from_iterable(zip(*values)))
             stream.write(template * (len(cells) // len(header)) % cells)
-    finally:
-        if owns:
-            stream.close()
 
 
 _BYTE_SUFFIXES = {"bytes": 1, "kB": 1_000, "MB": 1_000_000, "GB": 1_000_000_000}

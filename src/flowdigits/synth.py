@@ -82,6 +82,8 @@ class GeneratorSpec:
             raise GeneratorSpecError("size_decades exponents must lie in 0..18")
         if self.size_model not in ("loguniform", "pareto"):
             raise GeneratorSpecError(f"unknown size model {self.size_model!r}")
+        if not 0 < self.pareto_alpha < np.inf:  # for every size model: the manifest records it
+            raise GeneratorSpecError(f"pareto_alpha must be a finite positive number, got {self.pareto_alpha!r}")
         total = self.total_flows
         spans = sorted((b.start_index, b.start_index + b.length) for b in self.attacks)
         prev_end = 0
