@@ -6,7 +6,8 @@ an alert fires when it reaches the decision threshold T. For labeled
 datasets a window's ground truth is 1 when it contains at least T_l
 malicious flows (boundary inclusive: exactly T_l counts as malicious).
 
-``window_arrays`` scores every window at once. ``window_rows`` reads its arrays out
+``window_scores`` counts every window once and scores it under each metric
+asked for; ``window_arrays`` is its one-metric case. ``window_rows`` reads its arrays out
 as rows, which ``write_score_rows`` writes as CSV and ``run_detector`` wraps in objects.
 """
 
@@ -106,8 +107,8 @@ class DetectorConfig:
     labeling: LabelingRule | None = None
 
     def __post_init__(self):
-        if not self.threshold_t >= 0.0:
-            raise ValueError("decision threshold must be non-negative")
+        if not 0.0 <= self.threshold_t < math.inf:  # the manifest records it, and JSON has no inf or nan
+            raise ValueError(f"decision threshold must be a finite non-negative number, got {self.threshold_t!r}")
 
 
 @dataclass(frozen=True)
@@ -127,38 +128,65 @@ def score_window(dataset: FlowDataset, config: DetectorConfig, window: WindowInd
     return WindowScore(window=window, score=score, decision=int(score >= config.threshold_t), valid=bool(valid[0]))
 
 
-#: Windows scored per batch, so scoring temporaries stay near this many rows of 10.
+#: Windows counted and scored per batch, so scoring temporaries stay near this many rows of 10.
 _CHUNK = 1024
+#: Flows a batch's window starts may span, so a count pass's temporaries stay near this many rows.
+_SPAN = 1 << 14
 
 
 class OrderedFlows:
     """One dataset in window order, reduced to what window scoring reads.
 
     Ordering the flows and taking the first digits of their size differences
-    happen once here, so sweeps over window sizes and metrics share them.
+    happen once here, so sweeps over window sizes and metrics share them. It
+    holds those digits (int8, one per difference) and, for a labeled dataset,
+    the int64 prefix sums of the labels: 9 bytes a flow.
     """
 
     def __init__(self, dataset: FlowDataset, config: DetectorConfig):
         order = flow_order(dataset, config.ordering)
         self.n_flows = len(order)
         self.labeled = dataset.labeled
-        # Sorted digit * stride + position: the positions of each digit, in
-        # order, so window counts are two binary searches per digit.
-        self._keys = leading_digits(difference_sequence(size_sequence(dataset, config.unit)[order]))
-        self._stride = self._keys.size + 1
-        self._keys *= self._stride
-        self._keys += np.arange(self._keys.size)
-        self._keys.sort()
+        self._digits = leading_digits(difference_sequence(size_sequence(dataset, config.unit)[order])).astype(np.int8)
         if self.labeled:
             self._label_cum = np.zeros(self.n_flows + 1, dtype=np.int64)
             np.cumsum(dataset.label[order], dtype=np.int64, out=self._label_cum[1:])
 
     def digit_counts(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """(k, 10) first-digit counts of the differences [start, start + length)."""
-        offsets = np.arange(10)[:, None] * self._stride
-        lo = np.searchsorted(self._keys, offsets + starts)
-        hi = np.searchsorted(self._keys, offsets + (starts + length))
-        return (hi - lo).T
+        """(k, 10) first-digit counts of the differences [start, start + length), for starts in any order."""
+        order = np.argsort(starts, kind="stable")
+        counts = np.empty((len(starts), 10), dtype=np.int64)
+        for part, chunk in self.window_counts(starts[order], length):
+            counts[order[part]] = chunk
+        return counts
+
+    def window_counts(self, starts: np.ndarray, length: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """(part, (k, 10) first-digit counts of the differences [start, start + length)) per batch of ascending starts.
+
+        A batch holds at most _CHUNK starts within _SPAN flows. Each window's
+        counts are the previous window's plus the digits that enter at its end
+        and minus those that leave at its start: one bincount of each, and a
+        cumulative sum over the batch that carries on from the previous
+        batch's last window. So each digit is read once as it enters and once
+        as it leaves, whatever the window size.
+        """
+        prev_start = prev_end = int(starts[0]) if len(starts) else 0
+        carry = np.zeros(10, dtype=np.int64)  # counts of the window [prev_start, prev_end)
+        lo = 0
+        while lo < len(starts):
+            hi = min(lo + _CHUNK, max(lo + 1, int(np.searchsorted(starts, starts[lo] + _SPAN))))
+            part_starts, rows = starts[lo:hi], np.arange(0, 10 * (hi - lo), 10)  # each window's bincount key offset
+            ends, last = part_starts + length, int(part_starts[-1])
+            leaving = np.repeat(rows, np.diff(part_starts, prepend=prev_start))
+            leaving += self._digits[prev_start:last]
+            entering = np.repeat(rows, np.diff(ends, prepend=prev_end))
+            entering += self._digits[prev_end : last + length]
+            delta = np.bincount(entering, minlength=rows.size * 10) - np.bincount(leaving, minlength=rows.size * 10)
+            delta[:10] += carry
+            counts = np.cumsum(delta.reshape(-1, 10), axis=0)
+            prev_start, prev_end, carry = last, last + length, counts[-1].copy()
+            yield slice(lo, hi), counts
+            lo = hi
 
     def malicious_counts(self, starts: np.ndarray, w: int) -> np.ndarray:
         """Malicious flows in each window [start, start + w). The dataset must be labeled."""
@@ -181,28 +209,48 @@ def _count_scores(
     """
     probs, totals = digit_probabilities(counts, policy)
     valid = totals > 0
+    return _probability_scores(probs, valid, metric, kld), valid
+
+
+def _probability_scores(probs: np.ndarray, valid: np.ndarray, metric: SimilarityMetric, kld: KldParams) -> np.ndarray:
+    """Anomaly scores of the (k, 10) digit probabilities of ``digit_probabilities``; INVALID_SCORE where not valid."""
     raw = similarity._metric_rows(metric, probs[:, 1:], probs[:, 0], kld)
-    return np.where(valid, similarity.anomaly_score(metric, raw), INVALID_SCORE), valid
+    return np.where(valid, similarity.anomaly_score(metric, raw), INVALID_SCORE)
+
+
+def window_scores(
+    flows: OrderedFlows, config: DetectorConfig, metrics: Sequence[SimilarityMetric]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, (len(metrics), k) anomaly scores, validity) of every window of config.window.
+
+    One count pass (``OrderedFlows.window_counts``) counts the windows, and
+    each batch's digit probabilities are scored under every metric before
+    the next batch is counted. Validity depends on the counts and the zero
+    policy only.
+    """
+    starts = window_starts(flows.n_flows, config.window)
+    scores = np.empty((len(metrics), len(starts)))
+    valid = np.empty(len(starts), dtype=bool)
+    for part, counts in flows.window_counts(starts, config.window.w - 1):
+        probs, totals = digit_probabilities(counts, config.zero_policy)
+        valid[part] = totals > 0
+        for row, metric in zip(scores, metrics):
+            row[part] = _probability_scores(probs, valid[part], metric, config.kld)
+    return starts, scores, valid
 
 
 def window_arrays(
     flows: OrderedFlows, config: DetectorConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """(starts, anomaly scores, validity, truths) of every window of config.window.
+    """(starts, anomaly scores, validity, truths) of every window of config.window under config.metric.
 
-    Windows are scored in chunks of _CHUNK. Truths are None unless the
+    The one-metric case of ``window_scores``. Truths are None unless the
     dataset is labeled and the config carries a labeling rule.
     """
     w = config.window.w
-    starts = window_starts(flows.n_flows, config.window)
-    scores = np.empty(len(starts))
-    valid = np.empty(len(starts), dtype=bool)
-    for lo in range(0, len(starts), _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        counts = flows.digit_counts(starts[part], w - 1)
-        scores[part], valid[part] = _count_scores(counts, config.zero_policy, config.metric, config.kld)
+    starts, scores, valid = window_scores(flows, config, (config.metric,))
     truths = flows.truths(starts, w, config.labeling) if flows.labeled and config.labeling is not None else None
-    return starts, scores, valid, truths
+    return starts, scores[0], valid, truths
 
 
 def window_rows(dataset: FlowDataset, config: DetectorConfig) -> Iterator[tuple]:

@@ -10,11 +10,11 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .detector import DetectorConfig, LabelingRule, OrderedFlows, WindowScore, column_rows, resolve_labeling_threshold
-from .detector import window_arrays
+from .detector import window_arrays, window_scores
 from .errors import CapabilityError, DegenerateLabelsError, EmptyStatsError
 from .ingest import FlowDataset
 from .similarity import SimilarityMetric
-from .windowing import WindowSpec, window_starts
+from .windowing import WindowSpec
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,9 @@ def _threshold_aucs(scores: np.ndarray, counts: np.ndarray, thresholds: Sequence
     """
     by_count = np.argsort(-counts, kind="stable")
     rank_sums = np.append(0, np.cumsum(_midranks(scores)[2][by_count]))
-    ranked_counts, n = counts[by_count], len(scores)
-    n_pos = [int(np.count_nonzero(ranked_counts >= t)) for t in thresholds]
-    return [_auc(int(rank_sums[k]), k, n) if 0 < k < n else None for k in n_pos]
+    n_pos = np.searchsorted(-counts[by_count], -np.asarray(thresholds, dtype=np.int64), side="right")
+    n = len(scores)
+    return [_auc(r, k, n) if 0 < k < n else None for r, k in zip(rank_sums[n_pos].tolist(), n_pos.tolist())]
 
 
 def roc_auc(pairs: Iterable[tuple[float, int]]) -> RocCurve:
@@ -211,36 +211,36 @@ def grid_evaluate(
 ) -> SweepResult:
     """AUC per (window size, labeling threshold, metric) grid cell.
 
-    Per window size and metric, one sort ranks the window scores and every
-    labeling threshold's AUC is a prefix-sum lookup (see _threshold_aucs),
-    equal to roc_curve's AUC for that cell. Each grid W slides by ``step``
-    (default W // 2). Cells whose window labels come out single-class are
-    absent with reason "degenerate labels". ``threads`` is accepted and
-    ignored: the work is array code, and a thread pool measured no faster.
+    Per window size, one count pass (``window_scores``) scores the windows
+    under every metric. Per window size and metric, one sort ranks the
+    window scores and every labeling threshold's AUC is a prefix-sum lookup
+    (see _threshold_aucs), equal to roc_curve's AUC for that cell. Each grid
+    W slides by ``step`` (default W // 2). Cells whose window labels come out
+    single-class are absent with reason "degenerate labels". ``threads`` is
+    accepted and ignored: the work is array code, and a thread pool measured
+    no faster.
     """
     require_labels(dataset)
     flows = OrderedFlows(dataset, base_config)
+    names, metric_names = [labeling.describe() for labeling in labeling_grid], [metric.value for metric in metric_set]
     cells: list[SweepCell] = []
     for w in w_grid:
         if w > flows.n_flows:
             cells.extend(
-                SweepCell(coords=(w, labeling.describe(), metric.value), value=None, reason="insufficient flows")
-                for labeling in labeling_grid
-                for metric in metric_set
+                SweepCell(coords=(w, name, metric), value=None, reason="insufficient flows")
+                for name in names
+                for metric in metric_names
             )
             continue
-        config = replace(base_config, window=WindowSpec(w, step), labeling=None)
-        counts = flows.malicious_counts(window_starts(flows.n_flows, config.window), w)
+        starts, scores, _ = window_scores(flows, replace(base_config, window=WindowSpec(w, step)), metric_set)
+        counts = flows.malicious_counts(starts, w)
         thresholds = [resolve_labeling_threshold(labeling, w) for labeling in labeling_grid]
-        aucs = {
-            metric: _threshold_aucs(window_arrays(flows, replace(config, metric=metric))[1], counts, thresholds)
-            for metric in metric_set
-        }
-        for i, labeling in enumerate(labeling_grid):
-            for metric in metric_set:
-                value = aucs[metric][i]
+        aucs = [_threshold_aucs(row, counts, thresholds) for row in scores]
+        for i, name in enumerate(names):
+            for metric, metric_aucs in zip(metric_names, aucs):
+                value = metric_aucs[i]
                 reason = "degenerate labels" if value is None else None
-                cells.append(SweepCell(coords=(w, labeling.describe(), metric.value), value=value, reason=reason))
+                cells.append(SweepCell(coords=(w, name, metric), value=value, reason=reason))
     return SweepResult(axes=("w", "labeling", "metric"), cells=tuple(cells))
 
 

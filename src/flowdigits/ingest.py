@@ -819,9 +819,12 @@ def flow_order(dataset: FlowDataset, scheme: OrderingScheme) -> np.ndarray:
     elif scheme is OrderingScheme.END_START:
         keys = (dataset.rel_start + dataset.duration, dataset.rel_start)
     elif scheme is OrderingScheme.SRC_DST_START:
-        keys = (src, dst, dataset.rel_start)
+        keys = ((src.astype(np.int64) << 31) | dst, dataset.rel_start)  # codes and ranks lie in [0, 2**31)
     elif scheme is OrderingScheme.FIVE_TUPLE_START:
-        keys = (src, dataset.src_port, dst, dataset.dst_port, dataset.rel_start)
+        # One key per endpoint: its rank above its int32 port, shifted into [0, 2**32).
+        src_key = (src.astype(np.int64) << 32) | (dataset.src_port.astype(np.int64) + 2**31)
+        dst_key = (dst.astype(np.int64) << 32) | (dataset.dst_port.astype(np.int64) + 2**31)
+        keys = (src_key, dst_key, dataset.rel_start)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown ordering scheme: {scheme!r}")
     # lexsort is stable and takes its primary key last.

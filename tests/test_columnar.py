@@ -8,6 +8,7 @@ same exception type, message and line.
 """
 
 import csv
+import dataclasses
 import io
 import ipaddress
 import math
@@ -1039,6 +1040,51 @@ def test_order_flows_matches_sorted_reference(flows, scheme):
     ordered = order_flows(dataset, scheme)
     assert ordered.flows == tuple(sorted(flows, key=REF_KEYS[scheme]))
     assert order_flows(ordered, scheme).flows == ordered.flows
+
+
+def unpacked_flow_order(dataset, scheme):
+    """flow_order with one lexsort key per endpoint attribute, the layout the packed keys replace."""
+    src, dst = dataset.src_code, dataset.dst_code
+    if dataset._ipv4 is None:
+        ranks = ingest._address_ranks(dataset.addresses)
+        src, dst = ranks[src], ranks[dst]
+    if scheme is OrderingScheme.SRC_DST_START:
+        keys = (src, dst, dataset.rel_start)
+    else:
+        keys = (src, dataset.src_port, dst, dataset.dst_port, dataset.rel_start)
+    return np.lexsort((dataset.seq_no,) + keys[::-1])
+
+
+IPV4_ADDRESSES = tuple(text for text in ADDRESSES if ingest._IPV4.match(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.sampled_from([IPV4_ADDRESSES, ADDRESSES]),
+    scheme=st.sampled_from([OrderingScheme.SRC_DST_START, OrderingScheme.FIVE_TUPLE_START]),
+    data=st.data(),
+)
+def test_packed_endpoint_keys_order_like_one_lexsort_key_per_attribute(pool, scheme, data):
+    ports = st.one_of(st.sampled_from([0, 1, 65534, 65535]), st.integers(0, 65535))
+    records = st.builds(
+        FlowRecord,
+        src_ip=st.sampled_from(pool),
+        src_port=ports,
+        dst_ip=st.sampled_from(pool),
+        dst_port=ports,
+        packets_total=st.none(),
+        bytes_total=st.integers(0, 10),
+        rel_start=st.sampled_from([0.0, 0.5, 1.0]),
+        duration=st.just(0.0),
+        label=st.none(),
+        seq_no=st.integers(0, 10**9),
+    )
+    flows = data.draw(st.lists(records, max_size=40), label="flows")
+    flows += [dataclasses.replace(f, seq_no=-1 - i) for i, f in enumerate(flows[:5])]  # equal key tuples
+    dataset = FlowDataset(flows, labeled=False)
+    if data.draw(st.booleans(), label="shuffled"):  # seq_no no longer ascending in dataset order
+        dataset = dataset._take(np.array(data.draw(st.permutations(range(len(flows)))), dtype=np.intp))
+    assert ingest.flow_order(dataset, scheme).tolist() == unpacked_flow_order(dataset, scheme).tolist()
 
 
 # -- writer property --------------------------------------------------------------------

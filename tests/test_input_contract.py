@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from flowdigits import KldParams, ParseError, adapt_kdd, ingest, parse_flow_csv, parse_tshark_conversations
+from flowdigits import DetectorConfig, KldParams, ParseError, WindowSpec, adapt_kdd, ingest, parse_flow_csv
+from flowdigits import parse_tshark_conversations
 from flowdigits.cli import DEFAULT_SWEEP_GRID, main
 from test_cli import KDD_ATTACK, KDD_NORMAL, kdd_sample_text
 
@@ -226,6 +227,24 @@ def test_undecodable_byte_is_an_input_error(tmp_path, capsys, fmt, parse, text, 
 def test_kld_theta_must_be_finite_and_positive(theta):
     with pytest.raises(ValueError, match="finite positive"):
         KldParams(theta=theta)
+
+
+@pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan, -0.1])
+def test_decision_threshold_must_be_finite_and_non_negative(threshold):
+    with pytest.raises(ValueError, match="finite non-negative"):
+        DetectorConfig(window=WindowSpec(2), threshold_t=threshold)
+
+
+@pytest.mark.parametrize("command", [["score"], ["evaluate", "--roc", *LABELING], ["sweep"]])
+@pytest.mark.parametrize("threshold", ["inf", "nan"])
+def test_threshold_not_finite_exits_3_and_writes_no_file(tmp_path, capsys, command, threshold):
+    path = tmp_path / "input.csv"
+    path.write_text(csv_text())
+    got = main([*command, "--window", "2", f"--threshold={threshold}", str(path), "-o", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert (got, "Traceback" in err) == (3, False)
+    assert err.startswith("flowdigits: configuration error: decision threshold must be a finite non-negative")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("max_flows", [0, -1])

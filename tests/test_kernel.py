@@ -8,8 +8,10 @@ the per-cell ROC AUC and the pairwise oracle exactly.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,10 +32,13 @@ from flowdigits import (
     window_differences,
     windows,
 )
+from flowdigits import detector
+from flowdigits.benford import leading_digits
 from flowdigits.detector import OrderedFlows, _count_scores, window_arrays
 from flowdigits.evaluation import _threshold_aucs, roc_curve
 from flowdigits.ingest import MAX_SIZE
 from flowdigits.similarity import DIVERGENCES
+from flowdigits.windowing import window_starts
 from oracles import auc_pairwise
 from test_ingest import make_flow
 
@@ -392,3 +397,64 @@ def test_grid_cells_equal_per_cell_roc_and_pairwise_oracle(sizes, data, policy, 
                 auc = per_cell_auc(scores, flows.truths(starts, w, labeling))
                 want.append((coords, auc, None if auc is not None else "degenerate labels"))
     assert [(c.coords, c.value, c.reason) for c in result.cells] == want
+
+
+# -- the window-count pass ------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(
+        st.one_of(st.sampled_from([0, 1, 7, 10, 100, 1500]), st.integers(0, 10**9)), min_size=2, max_size=120
+    ),
+    data=st.data(),
+)
+def test_window_counts_equal_bruteforce_bincount_per_batch(sizes, data):
+    n = len(sizes)
+    w = data.draw(st.integers(1, n), label="w")
+    step = data.draw(st.sampled_from([1, max(1, w // 2), w]), label="step")
+    chunk = data.draw(st.integers(1, 6), label="chunk")  # batches shorter than a window, and a short last one
+    span = data.draw(st.sampled_from([1, 2, 5, 1 << 16]), label="span")
+    dataset = FlowDataset(flows=tuple(make_flow(i, bytes_total=v) for i, v in enumerate(sizes)), labeled=False)
+    flows = OrderedFlows(dataset, DetectorConfig(window=WindowSpec(w, step)))
+    starts = window_starts(n, WindowSpec(w, step))
+    digits = leading_digits(np.abs(np.diff(np.array(sizes, dtype=np.int64))))
+    seen = 0
+    with mock.patch.object(detector, "_CHUNK", chunk), mock.patch.object(detector, "_SPAN", span):
+        for part, counts in flows.window_counts(starts, w - 1):
+            batch = starts[part]
+            assert part.start == seen and 1 <= len(batch) <= chunk
+            assert len(batch) == 1 or batch[-1] - batch[0] < span
+            want = [np.bincount(digits[s : s + w - 1], minlength=10).tolist() for s in batch.tolist()]
+            assert counts.tolist() == want
+            seen = part.stop
+    assert seen == len(starts)
+
+
+@pytest.mark.parametrize("metric_count", [1, 3, len(SimilarityMetric)])
+def test_grid_evaluate_counts_each_present_window_size_once(metric_count):
+    sizes = [100, 1500, 7, 20_000, 1500, 1500, 3, 900] * 8
+    dataset = FlowDataset(
+        flows=tuple(make_flow(i, bytes_total=v, label=int(i % 3 == 0)) for i, v in enumerate(sizes)), labeled=True
+    )
+    w_grid = [4, 2, 200, 9, 64, 65]
+    passes = []
+    count_pass = OrderedFlows.window_counts
+
+    def counted(self, starts, length):
+        passes.append(length + 1)
+        return count_pass(self, starts, length)
+
+    base = DetectorConfig(window=WindowSpec(2))
+    labelings = [LabelingRule(absolute=1), LabelingRule(relative=0.5)]
+    with mock.patch.object(OrderedFlows, "window_counts", counted):
+        result = grid_evaluate(dataset, base, w_grid, labelings, list(SimilarityMetric)[:metric_count])
+    assert passes == [w for w in w_grid if w <= len(sizes)]
+    assert len(result.cells) == len(w_grid) * len(labelings) * metric_count
+
+
+def test_ordered_flows_hold_int8_digits_and_label_prefix_sums():
+    dataset = FlowDataset(flows=tuple(make_flow(i, label=i % 2) for i in range(50)), labeled=True)
+    flows = OrderedFlows(dataset, DetectorConfig(window=WindowSpec(5)))
+    held = {name: (a.dtype, a.shape) for name, a in vars(flows).items() if isinstance(a, np.ndarray)}
+    assert held == {"_digits": (np.int8, (49,)), "_label_cum": (np.int64, (51,))}
