@@ -150,6 +150,4 @@ def digit_histogram(values: Iterable[int], policy: ZeroPolicy) -> DigitDistribut
     skip = policy is ZeroPolicy.SKIP_ZEROS
     if totals[0] == 0:
         raise EmptyHistogramError(f"no {'non-zero ' if skip else ''}values to build a digit histogram from")
-    return DigitDistribution(
-        probs=probs[0, 1:] if skip else probs[0], sample_count=int(totals[0]), extended=not skip
-    )
+    return DigitDistribution(probs=probs[0, 1:] if skip else probs[0], sample_count=int(totals[0]), extended=not skip)

@@ -23,13 +23,7 @@ from typing import IO, Callable
 from . import __version__
 from .benford import ZeroPolicy
 from .detector import DetectorConfig, LabelingRule, OrderedFlows, window_arrays, window_rows, write_score_rows
-from .errors import (
-    CapabilityError,
-    DegenerateLabelsError,
-    EmptyStatsError,
-    GeneratorSpecError,
-    ParseError,
-)
+from .errors import CapabilityError, DegenerateLabelsError, EmptyStatsError, GeneratorSpecError, ParseError
 from .evaluation import grid_evaluate, require_labels, roc_rows, window_size_sweep, write_roc_rows, write_sweep_csv
 from .ingest import FlowDataset, OrderingScheme, adapt_kdd, parse_flow_csv, parse_tshark_conversations, write_flow_csv
 from .similarity import KldParams, SimilarityMetric
@@ -44,12 +38,7 @@ DEFAULT_REL_GRID = (
 )
 
 #: Absolute labeling thresholds evaluated when --labeling-abs gives a range.
-DEFAULT_ABS_GRID = tuple(
-    list(range(1, 10))
-    + list(range(10, 100, 10))
-    + list(range(100, 1000, 100))
-    + [1000, 2000, 3000, 4000, 5000]
-)
+DEFAULT_ABS_GRID = (*range(1, 10), *range(10, 100, 10), *range(100, 1000, 100), 1000, 2000, 3000, 4000, 5000)
 
 DEFAULT_SWEEP_GRID = tuple(range(500, 20_001, 250))
 
@@ -95,9 +84,7 @@ def _checked_output(output: str, input_path: str | None) -> str:
     return output
 
 
-def _write_output(
-    output: str, write: Callable[[IO[str]], object], command: str, config: dict, input_path: str | None
-):
+def _write_output(output: str, write: Callable[[IO[str]], object], command: str, config: dict, input_path: str | None):
     """Write one output file through write(handle), then its manifest side-car; returns what write returned."""
     with open(output, "w", encoding="utf-8", newline="") as handle:
         written = write(handle)
@@ -242,14 +229,7 @@ def cmd_evaluate(args) -> int:
         print(f"roc over {len(scores)} windows, auc={auc:.9f} -> {output}")
         return 0
 
-    result = grid_evaluate(
-        dataset,
-        config,
-        w_grid,
-        labeling_grid,
-        metric_set,
-        step=args.step,
-    )
+    result = grid_evaluate(dataset, config, w_grid, labeling_grid, metric_set, step=args.step)
     best = result.best()
     if best is None:
         # Nothing is written; the input error says why each cell is absent.

@@ -171,14 +171,15 @@ def window_size_sweep(
 
     ``step`` fixes the slide for every grid point; by default each W slides
     by W // 2. Grid points larger than the dataset are reported absent with
-    a warning instead of aborting the sweep.
+    one warning that counts them instead of aborting the sweep.
     """
     flows = OrderedFlows(dataset, config)
     n = flows.n_flows
+    if skipped := sum(w > n for w in w_grid):
+        warnings.warn(f"{skipped} of {len(w_grid)} window sizes exceed flow count {n}; cells skipped", RuntimeWarning)
     cells = []
     for w in w_grid:
         if w > n:
-            warnings.warn(f"window size {w} exceeds flow count {n}; cell skipped", RuntimeWarning)
             cells.append(SweepCell(coords=(w,), value=None, reason="insufficient flows"))
             continue
         _, scores, valid, _ = window_arrays(flows, replace(config, window=WindowSpec(w, step), labeling=None))

@@ -7,14 +7,14 @@ connection records. Parsing is single-pass streaming: every parser reads
 its input in chunks of ``_CHUNK_ROWS`` lines or rows (``textblock.chunks``)
 and converts each chunk before it reads the next, so a bad row read before
 a read error raises first. The table builder (``_TableBuilder``) appends
-each converted chunk to columns that grow in place. The flow CSV and KDD
-records convert a chunk column-wise; a chunk that fails a check is
-checked, not converted, row by row, which raises at its first bad row. The
-flow CSV splits plain chunks on commas and hands the input from its first
-other chunk to ``csv.reader``; KDD chunks drop blank lines and hand only
-lines with a quote or a stray CR to it. tshark checks each row as it reads
-it. Input that is not UTF-8, a truncated or corrupt gzip file, or a CSV
-cell over the ``csv`` field limit, is a ParseError.
+each converted chunk to columns that grow in place. The flow CSV splits a
+plain chunk on commas, column-wise, and hands the input from its first
+other chunk to ``csv.reader``; a chunk that fails a check is checked row
+by row, which raises at its first bad row. A KDD chunk is converted from
+its bytes through one comma index; only its odd lines are split one by
+one (``_kdd_block``). tshark checks each row as it reads it. Input that is
+not UTF-8, a truncated or corrupt gzip file, or a CSV cell over the
+``csv`` field limit, is a ParseError.
 
 A dataset is a columnar flow table: one numpy array per flow field, where
 row i describes the i-th flow in dataset order.
@@ -66,16 +66,7 @@ import numpy as np
 from .errors import FormatError, ParseError
 from .textblock import chunks, csv_cells, ipv4_texts, ipv4_values, plain_columns
 
-CSV_COLUMNS = (
-    "src_ip",
-    "src_port",
-    "dst_ip",
-    "dst_port",
-    "packets_total",
-    "bytes_total",
-    "rel_start_s",
-    "duration_s",
-)
+CSV_COLUMNS = ("src_ip", "src_port", "dst_ip", "dst_port", "packets_total", "bytes_total", "rel_start_s", "duration_s")
 CSV_LABEL_COLUMN = "label"
 
 
@@ -697,10 +688,12 @@ def _looks_numeric(token: str) -> bool:
         return False
 
 
-def _kdd_size(src_text: str, dst_text: str, line: int) -> None:
-    """Raise the ParseError of a TCP line's byte counts unless they are non-negative integers whose sum fits int64."""
-    if _int_field(src_text.strip(), "src_bytes", line) + _int_field(dst_text.strip(), "dst_bytes", line) > MAX_SIZE:
+def _kdd_size(src_text: str, dst_text: str, line: int) -> int:
+    """src_bytes + dst_bytes of a TCP line; a ParseError unless both are integers >= 0 whose sum fits int64."""
+    size = _int_field(src_text.strip(), "src_bytes", line) + _int_field(dst_text.strip(), "dst_bytes", line)
+    if size > MAX_SIZE:
         raise ParseError(f"src_bytes + dst_bytes exceeds {MAX_SIZE}", line)
+    return size
 
 
 def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | None = None) -> FlowDataset:
@@ -713,11 +706,8 @@ def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | N
     only). The class label maps to 0 for "normal." and 1 for everything
     else; a trailing dot on the class is optional. ``max_flows`` truncates
     the dataset after that many TCP flows (for desk-scale runs); no line
-    after the last one kept is read.
-
-    Lines are converted a chunk at a time, column-wise (``_kdd_block``),
-    blank, quoted and CR-ended lines alike; a chunk that fails a check is
-    checked line by line instead, which raises at its first bad line.
+    after the last one kept is read. Each chunk of lines is converted from
+    its bytes (``_kdd_block``), whatever its line ends: LF, CRLF or CR.
     """
     if max_flows is not None and max_flows < 1:
         raise ValueError(f"max_flows must be at least 1, got {max_flows}")
@@ -739,46 +729,71 @@ def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | N
     return FlowDataset._from_columns(columns, None, np.zeros(1, dtype=np.uint32), True, source_name)
 
 
-def _kdd_block(lines: list[str], lineno: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bytes_total, label) of the TCP records among the lines, column-wise; ``lineno`` numbers the first line.
+#: Bytes a class of the byte path may hold: ASCII letters and digits, "_", "." and "-".
+_CLASS_BYTES = np.frombuffer(bytes(c < 128 and (chr(c).isalnum() or chr(c) in "_.-") for c in range(256)), bool)
+#: A protocol cell's first four bytes as one little-endian uint32, when the cell is tcp, udp or icmp.
+_TCP, _UDP, _ICMP = np.frombuffer(b"tcp,udp,icmp", dtype="<u4")
+_POWERS = 10 ** np.arange(19, dtype=np.int64)  # a count of up to 18 digits is read with these
+_NORMAL = np.frombuffer(b"normal" + b"." * 26, dtype=np.uint8)  # a class is compared over at least 6 bytes
 
-    Each line's head is ``split(",", 6)``, whose last cell ends in the class.
-    A block with a quote, a CR outside a CRLF or a short line reads its odd
-    lines again (``_kdd_cells``), drops blank ones and makes a class's commas
-    semicolons, which keeps it not normal. If a check fails, ``_kdd_rows`` raises.
+
+def _bytes_of(data: np.ndarray, starts: np.ndarray, widths: np.ndarray, least: int, most: int, fill: int) -> np.ndarray:
+    """The cells' bytes, a column each, cut or padded with ``fill`` to the widest cell's width within [least, most]."""
+    rows = np.arange(min(most, int(np.max(widths, initial=least))))[:, None]
+    cells = data.take(starts + rows)
+    np.putmask(cells, rows >= widths, fill)
+    return cells
+
+
+def _kdd_block(lines: list[str], lineno: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bytes_total, label) of the TCP records among the lines; ``lineno`` numbers the first line.
+
+    A comma index of the block's bytes finds each line's protocol, counts and
+    class. Odd lines go to ``_kdd_row`` one by one: a quote or a byte from
+    NUL to CR before the line end, fewer than 41 commas, a protocol other
+    than exactly tcp, udp or icmp, or on a tcp line a count other than 1 to
+    18 ASCII digits or a class over 32 bytes or with a byte other than an
+    ASCII letter, digit, "_", "." or "-". A bad odd line makes ``_kdd_rows``
+    raise the block's first bad line.
     """
-    text = "".join(lines)
-    heads = [line.split(",", 6) for line in lines]
-    quote, stray_cr = '"' in text, "\r" in text and text.count("\r") != text.count("\r\n")
-    try:  # 35 commas after cell 6 make 42 fields; head[6] reads faster than head[-1]
-        commas = [head[6].count(",") for head in heads]
-    except IndexError:  # a line of fewer than 7 cells, such as a blank one: its last cell holds no comma
-        commas = [head[-1].count(",") for head in heads]
-    fewest = min(commas)
+    text = "".join([*lines, "." * 32])  # a cell read past the last line reads dots
+    encoded = text.encode("utf-8", "surrogatepass")
+    data = np.frombuffer(encoded, dtype=np.uint8)
+    sized = lines if text.isascii() else [line.encode("utf-8", "surrogatepass") for line in lines]
+    ends = np.cumsum(np.fromiter(map(len, sized), dtype=np.intp, count=len(lines)))
+    stops = ends - (data[ends - 1] == 10)  # the line without its LF, CRLF or CR
+    stops -= data[stops - 1] == 13
+    commas = np.flatnonzero(data == 44)
+    cuts = np.searchsorted(commas, np.append(0, ends))  # line i holds the commas cuts[i]:cuts[i + 1]
+    odd = np.diff(cuts) < 41
+    if '"' in text or np.count_nonzero(data < 14) != (ends - stops).sum():  # a quote, or a control byte in a line
+        marks = np.flatnonzero((data < 14) | (data == 34))
+        at = np.searchsorted(ends, marks, side="right")
+        odd[at[marks < stops[at]]] = True
+    rows = np.flatnonzero(~odd)
+    head = commas[cuts[rows]]
+    protocol = np.ndarray((len(data) - 3,), "<u4", encoded, strides=(1,))[head + 1]  # a uint32 at every byte
+    odd[rows[~((protocol == _TCP) | (protocol == _UDP) | (protocol == _ICMP) & (data[head + 5] == 44))]] = True
+    rows = rows[protocol == _TCP]
+    bounds = commas[cuts[rows] + np.arange(3, 6)[:, None]]  # the commas around src_bytes and dst_bytes
+    widths = (bounds[1:] - bounds[:2] - 1).ravel()
+    digits = _bytes_of(data, (bounds[:2] + 1).ravel(), widths, 1, 18, 48) - np.uint8(48)  # zeros pad on the right
+    numbers = _POWERS[len(digits) - 1 :: -1] @ digits // _POWERS[len(digits) - np.minimum(widths, len(digits))]
+    cls_start = commas[cuts[rows + 1] - 1] + 1
+    cls = _bytes_of(data, cls_start, stops[rows] - cls_start, 6, 32, 46)
+    plain = ((widths >= 1) & (widths <= 18) & (digits <= 9).all(axis=0)).reshape(2, -1).all(axis=0)
+    odd[rows[~(plain & (stops[rows] - cls_start <= 32) & _CLASS_BYTES.take(cls).all(axis=0))]] = True
+    size, label = np.full(len(lines), -1, dtype=np.int64), np.zeros(len(lines), dtype=np.int8)
+    size[rows], label[rows] = numbers.reshape(2, -1).sum(axis=0), ~(cls == _NORMAL[: len(cls), None]).all(axis=0)
+    size[odd] = -1
     try:
-        if quote or stray_cr or fewest < 35:
-            odd = [i for i, count in enumerate(commas) if count < 35] if fewest < 35 else []
-            odd += [i for i, line in enumerate(lines) if '"' in line] if quote else []
-            odd += [i for i, line in enumerate(lines) if "\r" in line.rstrip("\r\n")] if stray_cr else []
-            for i in sorted(set(odd), reverse=True):  # from the last: dropping a head keeps the earlier indices
-                row = _kdd_cells(lines[i])
-                heads[i : i + 1] = [row[:6] + ["," * (len(row) - 7) + row[-1].replace(",", ";")]] if row else []
-                commas[i] = len(row) - 7 if row else 35
-            fewest = min(commas)
-        tcp_names = {name for name in {head[1] for head in heads} if name.strip().lower() == "tcp"}
-        tcp = [head for head in heads if head[1] in tcp_names]
-        try:
-            src, dst = _ints([head[4] for head in tcp]), _ints([head[5] for head in tcp])
-        except ValueError:  # a count that only str.strip() cleans, such as "\x1c15"
-            src, dst = (_ints([head[k].strip() for head in tcp]) for k in (4, 5))
-        valid = fewest >= 35 and bool(((src >= 0) & (dst >= 0) & (src <= MAX_SIZE - dst)).all())
-    except (IndexError, ValueError, OverflowError, csv.Error):
-        valid = False
-    if not valid:
+        for i in np.flatnonzero(odd).tolist():
+            size[i], label[i] = _kdd_row(lines[i], lineno + i) or (-1, 0)
+    except ParseError:  # so the block's first bad line is found row by row, from the top
+        size = None
+    if size is None:
         _kdd_rows(lines, lineno)
-    classes = [head[6].rpartition(",")[2] for head in tcp]
-    normal = {cls for cls in set(classes) if cls.strip().rstrip(".") == "normal"}
-    return src + dst, np.array([cls not in normal for cls in classes], dtype=np.int8)
+    return size[size >= 0], label[size >= 0]
 
 
 def _kdd_cells(line: str) -> list[str]:
@@ -789,17 +804,22 @@ def _kdd_cells(line: str) -> list[str]:
     return line.split(",") if line else []
 
 
+def _kdd_row(line: str, number: int) -> tuple[int, bool] | None:
+    """(bytes_total, label) of a TCP line, None of another or a blank line; the ParseError of a bad line."""
+    try:
+        row = _kdd_cells(line)
+    except csv.Error as exc:  # such as a cell over the field limit
+        raise ParseError(str(exc), number) from None
+    if row and len(row) < 42:
+        raise ParseError(f"expected at least 42 fields, got {len(row)}", number)
+    if row and row[1].strip().lower() == "tcp":
+        return _kdd_size(row[4], row[5], number), row[-1].strip().rstrip(".") != "normal"
+
+
 def _kdd_rows(lines: list[str], lineno: int) -> None:
     """Raise the first bad line's ParseError, checked row by row; ``lineno`` numbers the first. Else AssertionError."""
     for number, line in enumerate(lines, start=lineno):
-        try:
-            row = _kdd_cells(line)
-        except csv.Error as exc:  # such as a cell over the field limit
-            raise ParseError(str(exc), number) from None
-        if row and len(row) < 42:
-            raise ParseError(f"expected at least 42 fields, got {len(row)}", number)
-        if row and row[1].strip().lower() == "tcp":
-            _kdd_size(row[4], row[5], number)
+        _kdd_row(line, number)
     raise AssertionError(f"lines {lineno}..{lineno + len(lines) - 1} fail the column checks but pass the row checks")
 
 

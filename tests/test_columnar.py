@@ -836,6 +836,83 @@ def test_adapt_kdd_reads_blank_and_quoted_lines_column_wise(tmp_path, newline):
         ingest._kdd_rows([line + newline for line in lines], 7)
 
 
+#: Count cells on each rule of the byte path: up to 18 ASCII digits are read from the bytes; 19 digits, a sign,
+#: a separator, another script's digit, a control character, a space, or no digit at all are read row by row.
+BYTE_PATH_COUNTS = st.one_of(
+    st.integers(0, 10**18 - 1).map(str),
+    st.sampled_from(["0015", "+15", "1_5", "٣", "\x1c15", " 15", "", "-1", "9" * 18, "1" + "0" * 18, "9" * 19]),
+)
+#: (src_bytes, dst_bytes) pairs whose sum is at MAX_SIZE, above it, or near it from two 18-digit counts.
+BYTE_PATH_SUMS = st.sampled_from([(str(MAX_SIZE - 20), "20"), (str(MAX_SIZE - 19), "20"), ("9" * 18, "9" * 18)])
+BYTE_PATH_PROTOCOLS = st.sampled_from(["tcp", "tcp", "tcp", "udp", "icmp", "TCP", " tcp", "tcp\x1c", "icmpx", "tc"])
+BYTE_PATH_CLASSES = st.sampled_from(
+    ["normal.", "normal.", "neptune.", "normal", "normal..", " normal.", "Normal.", "normal.\0", "nörmal.", ""]
+    + ["normal" + "." * 30, "x" * 40]
+)
+
+
+@st.composite
+def byte_path_lines(draw, surrogates):
+    """A KDD line, mostly plain, that sits on one rule of the byte path; a lone surrogate only if ``surrogates``."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from(["", "   "]))
+    src, dst = draw(st.one_of(st.tuples(BYTE_PATH_COUNTS, st.just("20")), BYTE_PATH_SUMS))
+    classes = BYTE_PATH_CLASSES | st.just("normal.\ud800") if surrogates else BYTE_PATH_CLASSES
+    service = draw(st.sampled_from(["http", "http", "ünï"]))
+    extra = draw(st.sampled_from([0, 0, 0, 1, 3, -1]))  # -1: 41 fields; more: commas before the class
+    fields = ["0", draw(BYTE_PATH_PROTOCOLS), service, "SF", src, dst] + ["0"] * (35 + extra) + [draw(classes)]
+    return ",".join(fields)
+
+
+@FUZZ
+@given(
+    newline=st.sampled_from(["\n", "\r\n"]),
+    as_bytes=st.booleans(),
+    end=st.booleans(),
+    chunk_rows=st.integers(1, 4),
+    data=st.data(),
+)
+def test_adapt_kdd_byte_path_matches_rowwise_reference(newline, as_bytes, end, chunk_rows, data):
+    lines = data.draw(st.lists(byte_path_lines(surrogates=not as_bytes), max_size=12), label="lines")
+    text = newline.join(lines) + (newline if end else "")
+    max_flows = data.draw(st.one_of(st.none(), st.integers(1, len(lines) + 1)), label="max_flows")
+    source = text.encode() if as_bytes else io.StringIO(text)
+    # csv.reader before Python 3.11 refuses NUL. The reference reads \x01 in its place, which no rule tells
+    # apart from NUL: neither is whitespace, and either keeps a class from being normal.
+    reference = LineCountingStringIO(text.replace("\0", "\x01"), newline="" if as_bytes else "\n")
+    expected = ref_kdd_outcome(reference, max_flows)
+    assert outcome(lambda _unused: adapt_kdd(source, max_flows=max_flows), text, chunk_rows) == expected
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_adapt_kdd_reads_only_its_odd_lines_row_by_row(tmp_path, newline):
+    protocols, classes = ("tcp", "tcp", "udp", "icmp"), ("normal.", "smurf.", "normal..", "Normal.")
+    lines = [kdd_line(protocol=protocols[i % 4], src_bytes=str(37 * i), cls=classes[i % 4]) for i in range(2500)]
+    path = tmp_path / "kddcup.data"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    with mock.patch.object(ingest, "_kdd_cells", refuse_rows):
+        dataset = adapt_kdd(path)
+    assert (dataset.flows, dataset.labeled) == ref_adapt_kdd(path)
+    odd = {
+        7: "",
+        700: kdd_line(service='"ht,tp"'),
+        1023: kdd_line(protocol=" TCP"),
+        1024: kdd_line(src_bytes="+15"),
+        1500: kdd_line(src_bytes="1" + "0" * 18),
+        2047: kdd_line(src_bytes="٣", cls=" normal."),
+        2048: kdd_line(cls="nörmal."),
+        2499: kdd_line(cls="normal" + "." * 30),
+    }
+    for i, line in odd.items():
+        lines[i] = line
+    path.write_bytes((newline.join(lines) + newline).encode())
+    read, cells = [], ingest._kdd_cells
+    with mock.patch.object(ingest, "_kdd_cells", lambda line: read.append(line) or cells(line)):
+        dataset = adapt_kdd(path)
+    assert (dataset.flows, dataset.labeled) == ref_adapt_kdd(path)
+    assert read == [odd[i] + newline for i in sorted(odd)]
+
+
 # -- chunk reader property ------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import gzip
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -292,6 +293,19 @@ def test_sweep_bare_windows_flag_means_the_default_grid(tmp_path, capsys):
     with pytest.warns(RuntimeWarning):
         assert main(["sweep", "--format", "kdd", "--windows", "", str(path), "-o", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + len(DEFAULT_SWEEP_GRID) * 2
+
+
+def test_sweep_warns_once_naming_the_skipped_window_sizes_and_the_flow_count(tmp_path):
+    path = tmp_path / "input.kdd"
+    path.write_text(KDD_TEXT)
+    out = tmp_path / "wsweep.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--format", "kdd", "--windows", "", str(path), "-o", str(out)]) == 0
+    n, k = len(adapt_kdd(path)), len(DEFAULT_SWEEP_GRID)
+    message = f"{k} of {k} window sizes exceed flow count {n}; cells skipped"
+    assert [(warning.category, str(warning.message)) for warning in caught] == [(RuntimeWarning, message)]
+    assert out.read_text().count(" reason=insufficient flows\n") == k
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
