@@ -316,9 +316,15 @@ class _TableBuilder:
         self.n_rows = end
 
     def add_rows(self, rows: Iterable[tuple]) -> None:
-        """Append rows of checked FlowRecord field values (None: absent; seq_no optional), a chunk at a time."""
+        """Append rows of FlowRecord field values (None: absent; seq_no optional); a port outside 0..65535 raises."""
         for chunk in chunks(rows, _CHUNK_ROWS):
             src_ip, src_port, dst_ip, dst_port, packets, bytes_total, rel_start, duration, label, *seq_no = zip(*chunk)
+            for name, ports in (("src_port", src_port), ("dst_port", dst_port)):
+                values = np.asarray(ports)
+                bad = np.flatnonzero((values < 0) | (values > 65535))
+                if bad.size:
+                    row = bad[0]
+                    raise ValueError(f"record {self.n_rows + row}: field {name} must be in 0..65535, got {ports[row]}")
             self.add(
                 **self.codes(src_ip, dst_ip, validate=False),
                 src_port=src_port,
@@ -573,11 +579,11 @@ def _csv_rows(reader, width: int, before: int) -> Iterator[tuple[list[str], int]
 
 
 def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
-    """Serialize a dataset to the canonical flow CSV (round-trips exactly).
+    """Serialize a dataset to the canonical flow CSV, one ``%`` template per chunk of rows.
 
-    One ``with`` opens and closes a path, or takes a caller's stream and leaves it open. The text is that of
-    ``csv.writer``: floats are written as ``repr``, so they round-trip exactly, and addresses are quoted by csv
-    rules. Each chunk is one ``%`` template; unbuilt IPv4 strings are formatted per chunk.
+    One ``with`` opens and closes a path, or takes a caller's stream and leaves it open. Floats are written as
+    ``repr``, and addresses quoted as ``csv.writer`` would. ``parse_flow_csv`` reads the file back to the same table,
+    seq_no aside, when every endpoint is an IP address. Hostname endpoints (tshark) do not read back: an open decision.
     """
     with nullcontext(sink) if hasattr(sink, "write") else open(sink, "w", encoding="utf-8", newline="") as stream:
         with_label = dataset.labeled or bool((dataset.label >= 0).any())

@@ -580,6 +580,32 @@ def test_tshark_port_outside_0_to_65535_is_a_parse_error():
         parse_tshark_conversations(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "ports, message",
+    [
+        ((70000, -1), "record 3: field src_port must be in 0..65535, got 70000"),
+        ((80, -1), "record 3: field dst_port must be in 0..65535, got -1"),
+        ((80, 65536), "record 3: field dst_port must be in 0..65535, got 65536"),
+    ],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+def test_flow_records_with_a_port_outside_0_to_65535_are_refused(ports, message, chunk_rows):
+    good = FlowRecord("10.0.0.1", 1, "10.0.0.2", 2, 3, 100, 0.0, 1.0, 0, 0)
+    flows = [good] * 3 + [dataclasses.replace(good, src_port=ports[0], dst_port=ports[1])]
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows), pytest.raises(ValueError, match=f"^{message}$"):
+        FlowDataset(flows, labeled=True)
+
+
+def test_ports_0_and_65535_round_trip_through_the_flow_csv():
+    flows = [
+        FlowRecord("10.0.0.1", 0, "10.0.0.2", 65535, 3, 100, 0.0, 1.0, 0, 0),
+        FlowRecord("10.0.0.2", 65535, "10.0.0.1", 0, 2, 50, 0.5, 1.0, 1, 1),
+    ]
+    sink = io.StringIO()
+    ingest.write_flow_csv(FlowDataset(flows, labeled=True), sink)
+    assert parse_flow_csv(io.StringIO(sink.getvalue())).flows == tuple(flows)
+
+
 def test_bad_row_in_an_earlier_chunk_position_wins_over_a_later_bad_line():
     good = "10.0.0.1,1,10.0.0.2,2,1,10,0,0\n"
     text = ",".join(CSV_COLUMNS) + "\n" + good + "10.0.0.1,1,10.0.0.2,2,1,-1,0,0\n" + good + "short,row\n"
