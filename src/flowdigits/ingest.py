@@ -7,10 +7,10 @@ connection records. Parsing is single-pass streaming: every parser reads
 its input in chunks of ``_CHUNK_ROWS`` lines or rows (``textblock.chunks``)
 and converts each chunk before it reads the next, so a bad row read before
 a read error raises first. The table builder (``_TableBuilder``) appends
-each converted chunk to columns that grow in place. The flow CSV splits a
-plain chunk on commas, column-wise, and hands the input from its first
-other chunk to ``csv.reader``; a chunk that fails a check is checked row
-by row, which raises at its first bad row. A KDD chunk is converted from
+each converted chunk to columns that grow in place. The flow CSV converts
+a plain chunk with one ``np.loadtxt`` call, or splits it on commas, and
+hands the input from its first other chunk to ``csv.reader``; a chunk that
+fails a check is checked row by row, which raises at its first bad row. A KDD chunk is converted from
 its bytes through one comma index; only its odd lines are split one by
 one (``_kdd_block``). tshark checks each row as it reads it. Input that is
 not UTF-8, a truncated or corrupt gzip file, or a CSV cell over the
@@ -52,6 +52,7 @@ import io
 import ipaddress
 import math
 import re
+import warnings
 import zlib
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -64,7 +65,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import FormatError, ParseError
-from .textblock import chunks, csv_cells, ipv4_texts, ipv4_values, plain_columns
+from .textblock import chunks, csv_cells, ipv4_texts, ipv4_values, plain_text, printable, split_cells
 
 CSV_COLUMNS = ("src_ip", "src_port", "dst_ip", "dst_port", "packets_total", "bytes_total", "rel_start_s", "duration_s")
 CSV_LABEL_COLUMN = "label"
@@ -290,9 +291,9 @@ class _TableBuilder:
     def codes(self, src: Sequence[str], dst: Sequence[str], validate: bool) -> dict[str, np.ndarray] | None:
         """The src_code and dst_code of one chunk; with ``validate``, None if a new string is not an IP address."""
         if self._index is None:
-            values = ipv4_values([*src, *dst])
-            if values is not None:
-                return dict(zip(("src_code", "dst_code"), np.split(values.view(np.int32), [len(src)])))
+            codes = self.ipv4_codes([*src, *dst])
+            if codes is not None:
+                return codes
             self._index = {}  # the first chunk that is not all IPv4: intern the numbers so far in place
             for name in ("src_code", "dst_code"):
                 codes = self._columns[name][: self.n_rows]
@@ -300,6 +301,11 @@ class _TableBuilder:
         if validate and not all(map(_is_address, set(src).union(dst).difference(self._index))):
             return None
         return {"src_code": self._intern(src), "dst_code": self._intern(dst)}
+
+    def ipv4_codes(self, addresses: Sequence[str] | np.ndarray) -> dict[str, np.ndarray] | None:
+        """The codes of a chunk's src then dst addresses; None if one is not a dotted quad, or strings are interned."""
+        values = None if self._index is not None else ipv4_values(addresses)
+        return None if values is None else dict(zip(("src_code", "dst_code"), values.view(np.int32).reshape(2, -1)))
 
     def _intern(self, texts: Iterable[str]) -> np.ndarray:
         index = self._index
@@ -476,6 +482,16 @@ def _check_csv_row(row: Sequence[str], line: int) -> None:
     _float_field(row[7], "duration_s", line)
 
 
+def _in_range(src_port, dst_port, packets_total, has_packets, bytes_total, rel_start, duration) -> bool:
+    """Whether a chunk's number columns pass the row checks' range checks."""
+    return (
+        bool(((src_port >= 0) & (src_port <= 65535) & (dst_port >= 0) & (dst_port <= 65535)).all())
+        and bool(((packets_total >= 0) & (bytes_total >= 0)).all())
+        and not (has_packets & (packets_total >= 1) & (bytes_total < 1)).any()
+        and all(((times >= 0.0) & np.isfinite(times)).all() for times in (rel_start, duration))
+    )
+
+
 def _csv_columns(table: _TableBuilder, has_label: bool, cells: list[Sequence[str]], lines: Sequence[int]) -> None:
     """Convert rows given column by column, ``lines`` numbering them, as arrays.
 
@@ -485,35 +501,62 @@ def _csv_columns(table: _TableBuilder, has_label: bool, cells: list[Sequence[str
     """
     try:
         codes = table.codes([text.strip() for text in cells[0]], [text.strip() for text in cells[2]], validate=True)
-        src_port, dst_port, bytes_total = _ints(cells[1]), _ints(cells[3]), _ints(cells[5])
-        packets, has_packets = _optional_ints(cells[4])
-        rel_start, duration = _floats(cells[6]), _floats(cells[7])
+        columns = {"src_port": _ints(cells[1]), "dst_port": _ints(cells[3]), "bytes_total": _ints(cells[5])}
+        columns["packets_total"], columns["has_packets"] = _optional_ints(cells[4])
+        columns["rel_start"], columns["duration"] = _floats(cells[6]), _floats(cells[7])
     except (ValueError, OverflowError):
         valid = False
     else:
-        valid = (
-            codes is not None
-            and bool(((src_port >= 0) & (src_port <= 65535) & (dst_port >= 0) & (dst_port <= 65535)).all())
-            and bool(((packets >= 0) & (bytes_total >= 0)).all())
-            and not (has_packets & (packets >= 1) & (bytes_total < 1)).any()
-            and all(((times >= 0.0) & np.isfinite(times)).all() for times in (rel_start, duration))
-        )
+        valid = codes is not None and _in_range(**columns)
     if not valid:
         for row, line in zip(zip(*cells), lines):
             _check_csv_row(row, line)
         raise AssertionError(f"lines {lines[0]}..{lines[-1]} fail the column checks but pass the row checks")
     label = [_LABEL_CELLS.get(text.strip(), -1) for text in cells[8]] if has_label else np.full(len(lines), -1)
-    table.add(
-        **codes,
-        src_port=src_port,
-        dst_port=dst_port,
-        packets_total=packets,
-        has_packets=has_packets,
-        bytes_total=bytes_total,
-        rel_start=rel_start,
-        duration=duration,
-        label=label,
-    )
+    table.add(**codes, **columns, label=label)
+
+
+#: numpy's row type of a flow CSV line, label aside. An address is read as
+#: 16 bytes, one more than a dotted quad has, so a longer cell is not one.
+_CSV_ROW = [("src_ip", "S16"), ("src_port", "i8"), ("dst_ip", "S16"), ("dst_port", "i8"), ("packets_total", "i8")]
+_CSV_ROW += [("bytes_total", "i8"), ("rel_start", "f8"), ("duration", "f8")]
+
+
+def _tokenized_columns(table: _TableBuilder, has_label: bool, body: str) -> bool:
+    """Add a plain block (``textblock.plain_text``) through numpy's tokenizer if it is canonical, else return False.
+
+    Canonical: printable ASCII, which ``np.loadtxt`` converts without a
+    warning, dotted-quad addresses while the table holds IPv4 numbers, labels
+    "0", "1" or empty, and numbers in range. On printable ASCII ``loadtxt``
+    converts a number cell only where ``int()`` or ``float()`` gives the same
+    value, bit for bit, and it refuses a blank packet count. numpy 1.x reads
+    a float cell such as "1.0" into an int column with a warning; ``int()``
+    refuses it, and so does this path, as it refuses any warning. That
+    filter is the whole process's (``warnings.catch_warnings``), which is not
+    thread-safe.
+    """
+    if table._index is not None or not printable(body):
+        return False
+    dtype = _CSV_ROW + [("label", "S2")] * has_label
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body), dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return False
+    codes = table.ipv4_codes(np.concatenate((rows["src_ip"], rows["dst_ip"])))
+    columns = {name: rows[name] for name, _ in _CSV_ROW if name not in ("src_ip", "dst_ip")}
+    label = -1
+    if has_label:
+        cells = rows["label"]
+        one, absent = cells == b"1", cells == b""
+        if not (one | absent | (cells == b"0")).all():
+            return False
+        label = one.astype(np.int8) - absent
+    if codes is None or not _in_range(**columns, has_packets=True):
+        return False
+    table.add(**codes, **columns, has_packets=True, label=label)
+    return True
 
 
 def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDataset:
@@ -526,23 +569,24 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
     which makes the whole dataset unlabeled rather than failing the parse.
 
     Lines are read in chunks of ``_CHUNK_ROWS`` (``textblock.chunks``). A
-    chunk of plain lines (see ``textblock.plain_columns``) is split on
-    commas; the first chunk that is not plain, and the chunks after it, are
-    read by ``csv.reader``, whose rows are converted ``_CHUNK_ROWS`` at a
-    time. Both read the same rows, so quoting rules, messages and line
-    numbers do not depend on the chunks.
+    chunk of plain lines (see ``textblock.plain_text``) is converted by one
+    ``np.loadtxt`` call if it is canonical (``_tokenized_columns``), else
+    split on commas; the first chunk that is not plain, and the chunks after
+    it, are read by ``csv.reader``, whose rows are converted ``_CHUNK_ROWS``
+    at a time. All read the same rows, so quoting rules, values, messages
+    and line numbers do not depend on the chunks.
     """
     with _open_text(source) as stream:
         reader = None
         read = 0  # lines read before the first line of ``reader``, or of the next block
         try:
             first = list(islice(stream, 1))
-            columns = plain_columns(first, first[0].count(",") + 1) if first else None
-            if columns is None:
+            body = plain_text(first, first[0].count(",") + 1) if first else None
+            if body is None:
                 reader = csv.reader(chain(first, stream))
                 header = tuple(cell.strip() for cell in next(reader))
             else:
-                header = tuple(column[0].strip() for column in columns)
+                header = tuple(cell.strip() for cell in body.split(","))
             if header not in (CSV_COLUMNS, CSV_COLUMNS + (CSV_LABEL_COLUMN,)):
                 raise FormatError(f"unexpected header: {_quote(','.join(header))}")
             has_label = len(header) > len(CSV_COLUMNS)
@@ -550,16 +594,18 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
             read = 1 if reader is None else reader.line_num
             blocks = chunks(stream, _CHUNK_ROWS)
             for lines in blocks:
-                cells = plain_columns(lines, len(header))
-                if cells is None:
+                body = plain_text(lines, len(header))
+                if body is None:
                     reader = csv.reader(chain(lines, chain.from_iterable(blocks)))
                     for numbered in chunks(_csv_rows(reader, len(header), read), _CHUNK_ROWS):
                         rows, numbers = zip(*numbered)
                         _csv_columns(table, has_label, list(zip(*rows)), numbers)
                     break
-                _csv_columns(table, has_label, cells, range(read + 1, read + 1 + len(lines)))
+                if not _tokenized_columns(table, has_label, body):
+                    numbers = range(read + 1, read + 1 + len(lines))
+                    _csv_columns(table, has_label, split_cells(body, len(header)), numbers)
                 read += len(lines)
-                del lines, cells  # free this block before the next one is read
+                del lines, body  # free this block before the next one is read
         except StopIteration:
             raise FormatError("missing header line") from None
         except csv.Error as exc:  # such as a cell over the field limit

@@ -11,6 +11,7 @@ not all dotted quads to per-address checks.
 from __future__ import annotations
 
 import csv
+from functools import cache
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,8 +42,8 @@ def chunks(items: Iterable, size: int | Callable[[], int]) -> Iterator[list]:
             return
 
 
-def plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
-    """The cells of the lines column by column if the lines are plain, else None.
+def plain_text(lines: list[str], width: int) -> str | None:
+    """The lines joined by LF, without their line ends, if they are plain, else None.
 
     ``csv.reader`` reads each line of a plain block as one row, split on
     every comma, after its trailing CR and LF characters: the block holds
@@ -70,52 +71,89 @@ def plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
         return None
     if (np.add.reduceat(data == ord(","), np.append(0, breaks), dtype=np.int64) != width - 1).any():
         return None
+    return body
+
+
+def split_cells(body: str, width: int) -> list[list[str]]:
+    """The cells of a plain block's text (see ``plain_text``), column by column."""
     cells = body.replace("\n", ",").split(",")
     return [cells[i::width] for i in range(width)]
 
 
-def ipv4_values(texts: Sequence[str]) -> np.ndarray | None:
-    """The 32-bit number of every text as uint32 if all are strict dotted-quad IPv4, else None.
+def printable(body: str) -> bool:
+    """Whether every character of ``body`` is printable ASCII or LF."""
+    if not body.isascii():
+        return False
+    data = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    return bool(((data - np.uint8(ord(" ")) <= ord("~") - ord(" ")) | (data == ord("\n"))).all())
 
-    Strict as ``ipaddress`` is: four ASCII decimal octets up to 255, without
-    leading zeros. The texts are checked together, as the ASCII bytes of the
-    texts each followed by "/": the bytes that are not digits must be three
-    dots and a slash per text, and each octet before one of them is 1 to 3
-    digits, without a leading zero, up to 255.
+
+@cache
+def _octet_values() -> np.ndarray:
+    """The octet that the three bytes before an octet's end spell, or 256, by their classes in three 5-bit fields.
+
+    A byte's class is ``(byte - ord("0")) & 31``: a digit's value, 30 for "." and 16 for NUL. Built on first use.
     """
-    n = len(texts)
-    if not n:
-        return np.empty(0, dtype=np.uint32)
-    joined = "/".join(texts) + "/"
-    if not joined.isascii():
-        return None
-    data = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-    digits = data - np.uint8(ord("0"))  # "." and "/" wrap round to 254 and 255
-    ends = np.flatnonzero(digits > 9)
-    if len(ends) != 4 * n or not (data[ends].reshape(n, 4) == np.frombuffer(b".../", dtype=np.uint8)).all():
-        return None
-    # The four bytes before each octet's end. A byte before the octet is a
-    # separator, or a digit of the previous octet when the one after it is
-    # a separator; an index below 0 reads the final "/".
-    ones, tens, hundreds, more = (digits[ends - k] for k in (1, 2, 3, 4))
+    hundreds, tens, ones = np.indices((32, 32, 32), dtype=np.uint16).reshape(3, -1)
     two = tens <= 9
     three = two & (hundreds <= 9)
-    if (ones > 9).any() or (three & (more <= 9)).any() or (two & (np.where(three, hundreds, tens) == 0)).any():
+    value = ones + 10 * tens * two + 100 * hundreds * three
+    leading_zero = two & (np.where(three, hundreds, tens) == 0)
+    return np.where((ones > 9) | leading_zero | (value > 255), 256, value).astype(np.uint16)
+
+
+def ipv4_values(addresses: Sequence[str] | np.ndarray) -> np.ndarray | None:
+    """The 32-bit number of every address as uint32 if all are strict dotted-quad IPv4, else None.
+
+    Strict as ``ipaddress`` is: four ASCII decimal octets up to 255, without
+    leading zeros. The addresses are texts, or an ``S`` array of their bytes
+    with no NUL inside. Both are checked as one byte stream, in which each
+    address is followed by one NUL or more (an ``S`` array's padding). Each
+    byte that is not a digit, nor a NUL after a NUL, ends an octet: these
+    must be three dots and a NUL per address. No four digits may follow one
+    another, and the three bytes before each end must spell an octet
+    (``_octet_values``).
+    """
+    n = len(addresses)
+    if not n:
+        return np.empty(0, dtype=np.uint32)
+    # Three NULs first, so that the bytes before the first address's first end are in the stream.
+    if isinstance(addresses, np.ndarray):
+        data = np.zeros(3 + addresses.nbytes + 1, dtype=np.uint8)
+        data[3:-1] = addresses.view(np.uint8)
+    else:
+        text = "\0\0\0" + "\0".join(addresses) + "\0"
+        if not text.isascii() or text.count("\0") != 3 + n:
+            return None
+        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digits = data - np.uint8(ord("0"))  # "." and NUL wrap round to 254 and 208
+    isdigit = digits <= 9
+    nul = data == 0
+    ends = np.flatnonzero(~isdigit[3:] & ~(nul[3:] & nul[2:-1])) + 3
+    if (
+        len(ends) != 4 * n
+        or not (data[ends].reshape(n, 4) == np.frombuffer(b"...\0", dtype=np.uint8)).all()
+        or (isdigit[:-3] & isdigit[1:-2] & isdigit[2:-1] & isdigit[3:]).any()
+    ):
         return None
-    octets = ones + np.where(two, tens, 0) * np.uint16(10) + np.where(three, hundreds, 0) * np.uint16(100)
+    classes = (digits & np.uint8(31)).astype(np.uint16)
+    octets = _octet_values()[classes[ends - 3] << 10 | classes[ends - 2] << 5 | classes[ends - 1]]
     if (octets > 255).any():
         return None
-    return (octets.reshape(n, 4) @ np.array([1 << 24, 1 << 16, 1 << 8, 1])).astype(np.uint32)
+    return octets.astype(np.uint8).view(">u4").astype(np.uint32)
 
 
-#: The decimal text of each octet value.
-_OCTETS = tuple(map(str, range(256)))
+@cache
+def _octet_texts() -> np.ndarray:
+    """Each octet value as a dot and its decimal text, NUL-padded to four bytes; built on first use."""
+    return np.array([f".{octet}".encode() for octet in range(256)], dtype="S4").view(np.uint8).reshape(256, 4)
 
 
 def ipv4_texts(values: np.ndarray) -> list[str]:
     """The dotted quad of each 32-bit number, which ``ipv4_values`` reads back."""
-    octets = [map(_OCTETS.__getitem__, (values >> shift & 255).tolist()) for shift in (24, 16, 8, 0)]
-    return list(map(".".join, zip(*octets)))
+    quads = _octet_texts()[values[:, None] >> np.uint32([24, 16, 8, 0]) & 255]
+    quads[:, 0, 0] = ord(" ")  # the first octet's dot parts one quad from the one before
+    return quads.tobytes().replace(b"\0", b"").decode("ascii").split()
 
 
 def csv_cells(texts: Sequence[str]) -> Sequence[str]:

@@ -13,6 +13,7 @@ import io
 import ipaddress
 import math
 import socket
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -522,6 +523,188 @@ def test_quoted_header_then_plain_blocks_are_read_column_wise(tmp_path):
     with mock.patch.object(ingest, "_csv_rows", refuse_rows):
         dataset = parse_flow_csv(path)
     assert (dataset.flows, dataset.labeled) == ref_parse_flow_csv(path)
+
+
+# -- the flow CSV's tokenizer path --------------------------------------------------
+
+#: Cells where numpy's tokenizer and int() or float() could read a cell apart.
+INT_EDGES = ["\x1c15", "1_0", "+5", " 5 ", "05", "-0", "1.0", "1e3", "0x1", "٣", " ", "-1", "9" * 20]
+TIME_EDGES = ["-0.0", "nan", "inf", "-inf", "infinity", "1e400", "1_0.5", " 1.5 ", "+.5", "5.", "0x1p3", "\x1c1.5", ""]
+ADDRESS_EDGES = [
+    "01.2.3.4",
+    " 1.2.3.4",
+    "1.2.3.256",
+    "255.255.255.2550",
+    "255.255.255.255 ",
+    "1.2.3.4" + " " * 12,
+    "1.2.3.4\x1c",
+    "2001:db8::1",
+    "host",
+    "",
+]
+#: (canonical, edge) cells of each flow CSV column, label last.
+TOKENIZER_CELLS = (
+    (["10.0.0.1", "255.255.255.255", "0.0.0.0", "9.10.99.100"], ADDRESS_EDGES),
+    (["0", "80", "65535", "1024"], INT_EDGES + ["65536"]),
+    (["192.168.1.1", "10.0.0.1", "1.2.3.4"], ADDRESS_EDGES),
+    (["0", "443", "65535"], INT_EDGES + ["65536"]),
+    (["0", "1", "3", "1200"], INT_EDGES + ["", str(MAX_SIZE + 1)]),
+    (["1", "40", "1500", str(MAX_SIZE)], INT_EDGES + ["0", str(MAX_SIZE + 1)]),
+    (["0.0", "0.5", "2.5e-05", "1e+300", "12.75"], TIME_EDGES),
+    (["0.0", "0.23631726388231478", "1.0"], TIME_EDGES),
+    (["0", "1"], ["", " 1", "1 ", "+1", "01", "x", "2", "10", "\x1c1"]),
+)
+
+
+def tokenizer_lines(draw, n, has_label, edges):
+    """n flow CSV lines of canonical cells, with ``edges`` cells drawn from the edge pools."""
+    pools = TOKENIZER_CELLS[: len(CSV_COLUMNS) + has_label]
+    rows = [[draw(st.sampled_from(canonical)) for canonical, _ in pools] for _ in range(n)]
+    for _ in range(edges):
+        row, column = draw(st.integers(0, n - 1)), draw(st.integers(0, len(pools) - 1))
+        rows[row][column] = draw(st.sampled_from(pools[column][1]))
+    return [",".join(row) for row in rows]
+
+
+def same_parse(text, chunk_rows):
+    """parse_flow_csv(text) gives the reference's flows, labeled flag or error, and the bits of its times."""
+    got = outcome(parse_flow_csv, text, chunk_rows)
+    expected = ref_outcome(ref_parse_flow_csv, text)
+    assert got == expected
+    if isinstance(got[0], tuple) and got[0]:
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            dataset = parse_flow_csv(io.StringIO(text))
+        for name in ("rel_start", "duration"):
+            assert getattr(dataset, name).tobytes() == np.array([getattr(f, name) for f in expected[0]]).tobytes()
+
+
+@FUZZ
+@given(
+    n=st.integers(1, 12),
+    has_label=st.booleans(),
+    edges=st.sampled_from([0, 0, 1, 1, 2, 3]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+    chunk_rows=st.sampled_from([1, 2, 3, 4, 1024]),
+    data=st.data(),
+)
+def test_flow_csv_tokenizer_path_matches_rowwise_reference(
+    n, has_label, edges, newline, final_newline, chunk_rows, data
+):
+    lines = [",".join(CSV_COLUMNS + ("label",) * has_label)] + tokenizer_lines(data.draw, n, has_label, edges)
+    same_parse(newline.join(lines) + newline * final_newline, chunk_rows)
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [
+        ("src_port", "\x1c15"),
+        ("dst_port", "1_0"),
+        ("src_port", "+5"),
+        ("packets_total", " 5 "),
+        ("bytes_total", "05"),
+        ("dst_port", "1.0"),
+        ("bytes_total", "1.0"),
+        ("rel_start_s", "-0.0"),
+        ("duration_s", "-0.0"),
+        ("rel_start_s", "nan"),
+        ("duration_s", "inf"),
+        ("src_ip", "1.2.3.4" + " " * 12),
+        ("dst_ip", "255.255.255.2550"),
+        ("src_ip", "255.255.255.255 "),
+        ("label", " 1"),
+        ("label", "+1"),
+        ("label", "01"),
+        ("label", ""),
+        ("packets_total", ""),
+    ],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 4, 1024])
+def test_flow_csv_tokenizer_edge_cell_parses_as_the_reference_does(column, cell, chunk_rows):
+    header = CSV_COLUMNS + ("label",)
+    rows = [f"10.0.{i}.1,{1000 + i},192.168.0.1,80,3,{100 + i},{i / 2!r},1.0,1".split(",") for i in range(6)]
+    rows[3][header.index(column)] = cell
+    same_parse("\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n", chunk_rows)
+
+
+def generated_csv(newline="\n", final_newline=True):
+    sink = io.StringIO()
+    ingest.write_flow_csv(generate(GeneratorSpec(seed=5, n_normal=2500, attacks=BURSTS)), sink)
+    text = sink.getvalue().replace("\n", newline)
+    return text if final_newline else text.removesuffix(newline)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_parse_flow_csv_reads_a_generated_file_through_the_tokenizer(tmp_path, newline, final_newline):
+    path = tmp_path / "flows.csv"
+    path.write_bytes(generated_csv(newline, final_newline).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(ingest, "_csv_columns", refuse_rows):
+            dataset = parse_flow_csv(path)
+    assert (dataset.flows, dataset.labeled) == ref_parse_flow_csv(path)
+
+
+FLOW_LINE = "10.0.0.1,5000,10.0.0.2,80,12,3400,1.5,0.2,0"
+
+
+@pytest.mark.parametrize(
+    "text, tokenized",
+    [
+        (",".join(CSV_COLUMNS) + ",label\n", True),
+        (",".join(CSV_COLUMNS) + ",label", True),
+        (",".join(CSV_COLUMNS) + ",label\n" + FLOW_LINE + "\n", True),
+        (",".join(CSV_COLUMNS) + ",label\n" + FLOW_LINE, True),
+        (",".join(CSV_COLUMNS) + ",label\r\n" + FLOW_LINE + "\r\n", True),
+        (",".join(CSV_COLUMNS) + ",label\n\n" + FLOW_LINE + "\n", False),
+        (",".join(CSV_COLUMNS) + ",label\n" + FLOW_LINE + "\n\n", False),
+        (",".join(CSV_COLUMNS) + ",label\n" + FLOW_LINE + "\n\n" + FLOW_LINE + "\n", False),
+    ],
+    ids=["header", "header-no-lf", "one-row", "one-row-no-lf", "crlf", "blank-first", "blank-last", "blank-between"],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1024])
+def test_parse_flow_csv_lets_no_warning_out(text, tokenized, chunk_rows):
+    """No tokenizer warning escapes, and a file without a blank line is read by the tokenizer alone."""
+    columns = refuse_rows if tokenized else ingest._csv_columns
+    with warnings.catch_warnings(), mock.patch.object(ingest, "_csv_columns", columns):
+        warnings.simplefilter("error")
+        got = outcome(parse_flow_csv, text, chunk_rows)
+    assert got == ref_outcome(ref_parse_flow_csv, text)
+
+
+def numpy1_loadtxt(source, *args, **kwargs):
+    """``np.loadtxt`` as numpy 1.x has it: a float cell in an int column is read, with a DeprecationWarning."""
+    text = source.read()
+    rows = REAL_LOADTXT(io.StringIO(text.replace(",1.0,", ",1,")), *args, **kwargs)
+    if ",1.0," in text:
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
+    return rows
+
+
+def warning_loadtxt(source, *args, **kwargs):
+    """``np.loadtxt`` that warns, and returns ports that are off by one."""
+    rows = REAL_LOADTXT(source, *args, **kwargs)
+    rows["src_port"] += 1
+    warnings.warn("a tokenizer warning", UserWarning, stacklevel=2)
+    return rows
+
+
+REAL_LOADTXT = np.loadtxt
+
+
+@pytest.mark.parametrize("tokenizer", [numpy1_loadtxt, warning_loadtxt])
+@pytest.mark.parametrize("caller_filter", ["ignore", "default", "error"])
+def test_a_block_the_tokenizer_reads_with_a_warning_is_read_column_wise(tokenizer, caller_filter):
+    ports = ["80"] * 5 + ["1.0"] + ["80"] * 3
+    lines = [f"10.0.{i}.1,{1000 + i},192.168.0.{i},{port},3,{100 + i},{i * 0.5},2.0,1" for i, port in enumerate(ports)]
+    text = ",".join(CSV_COLUMNS) + ",label\n" + "\n".join(lines) + "\n"
+    for case in (text, text.replace(",1.0,", ",80,")):
+        with warnings.catch_warnings():
+            warnings.simplefilter(caller_filter)
+            with mock.patch.object(np, "loadtxt", tokenizer):
+                got = outcome(parse_flow_csv, case, 4)
+        assert got == ref_outcome(ref_parse_flow_csv, case)
 
 
 #: (valid, invalid) spellings of each flow CSV field, label last.
@@ -1117,6 +1300,44 @@ def test_ipv4_values_of_edge_batches(texts):
     assert (values is None) == (None in expected)
     if values is not None:
         assert values.tolist() == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts=st.lists(st.one_of(dotted_quads, mutated_quads(), st.text(alphabet="0123456789. x", max_size=20)), max_size=6))
+def test_ipv4_values_of_address_bytes_match_those_of_texts(texts):
+    """An S16 array of the texts, as the tokenizer reads them, is checked as the texts are; a longer text is cut."""
+    expected = [ref_ipv4_value(text) for text in texts]
+    values = textblock.ipv4_values(np.array([text.encode() for text in texts], dtype="S16"))
+    assert (values is None) == (None in expected)
+    if values is not None:
+        assert values.dtype == np.uint32 and values.tolist() == expected
+
+
+def joined_ipv4_texts(values):
+    """The dotted quads as ``str`` of each octet joined by dots."""
+    return [".".join(str(value >> shift & 255) for shift in (24, 16, 8, 0)) for value in values.tolist()]
+
+
+@pytest.mark.parametrize(
+    "quads",
+    [
+        [],
+        ["0.0.0.0"],
+        ["255.255.255.255"],
+        ["1.2.3.4", "10.20.30.40", "100.200.250.255"],
+        ["9.99.100.0", "0.255.10.1", "255.0.0.9"],
+    ],
+)
+def test_ipv4_texts_equal_octets_joined_by_dots(quads):
+    values = np.array([int.from_bytes(socket.inet_aton(quad), "big") for quad in quads], dtype=np.uint32)
+    assert textblock.ipv4_texts(values) == joined_ipv4_texts(values) == quads
+
+
+def test_ipv4_texts_of_random_values_equal_octets_joined_by_dots():
+    values = np.random.default_rng(7).integers(0, 2**32, 5000, dtype=np.uint32)
+    texts = textblock.ipv4_texts(values)
+    assert texts == joined_ipv4_texts(values)
+    assert textblock.ipv4_values(texts).tolist() == values.tolist()
 
 
 # -- ordering property ----------------------------------------------------------------
