@@ -60,7 +60,7 @@ def _load_dataset(path: str, fmt: str, max_flows: int | None) -> FlowDataset:
 
 
 def _sha256(path: str | Path) -> str:
-    import hashlib  # here, not at start: OpenSSL is about 3.5 MiB resident, and hashing comes after a command's peak
+    import hashlib  # here, not at start: only a manifest needs OpenSSL (about 3.5 MiB), which can set a run's peak
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):

@@ -6,11 +6,13 @@ table printed by ``tshark -r <pcap> -q -z conv,tcp``, and KDD Cup 1999
 connection records. Parsing is single-pass streaming: every parser reads
 its input in chunks of ``_CHUNK_ROWS`` lines or rows (``textblock.chunks``)
 and converts each chunk before it reads the next, so a bad row read before
-a read error raises first. The table builder (``_TableBuilder``) appends
-each converted chunk to columns that grow in place. The flow CSV converts
-a plain chunk with one ``np.loadtxt`` call, or splits it on commas, and
-hands the input from its first other chunk to ``csv.reader``; a chunk that
-fails a check is checked row by row, which raises at its first bad row. A KDD chunk is converted from
+a read error raises first. The table builder (``_TableBuilder``) checks
+each converted chunk against the one set of column rules and appends it to
+columns that grow in place; the flow CSV, tshark and ``FlowDataset(flows)``
+build through it. The flow CSV converts a plain chunk with one
+``np.loadtxt`` call, or splits it on commas, and hands the input from its
+first other chunk to ``csv.reader``; a chunk that fails a check is checked
+row by row, which raises at its first bad row. A KDD chunk is converted from
 its bytes through one comma index; only its odd lines are split one by
 one (``_kdd_block``). tshark checks each row as it reads it. Input that is
 not UTF-8, a truncated or corrupt gzip file, or a CSV cell over the
@@ -65,7 +67,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import FormatError, ParseError
-from .textblock import chunks, csv_cells, ipv4_texts, ipv4_values, plain_text, printable, split_cells
+from .textblock import chunks, ipv4_texts, ipv4_values, plain_text, printable, split_cells
 
 CSV_COLUMNS = ("src_ip", "src_port", "dst_ip", "dst_port", "packets_total", "bytes_total", "rel_start_s", "duration_s")
 CSV_LABEL_COLUMN = "label"
@@ -276,8 +278,15 @@ def _rank_ipv4(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return ipv4
 
 
+_PORT, _SIZE = (0, 65535, "in 0..65535"), (0, MAX_SIZE, f"in 0..{MAX_SIZE}")
+_TIME = (0.0, np.finfo(np.float64).max, "finite and non-negative")
+#: The bounds of each column that ``_TableBuilder.add`` checks, and the rule they make, in the order checked.
+_BOUNDS = dict(src_port=_PORT, dst_port=_PORT, packets_total=_SIZE, bytes_total=_SIZE, rel_start=_TIME, duration=_TIME)
+_BOUNDS["label"] = (-1, 1, "in -1..1")
+
+
 class _TableBuilder:
-    """Collects flow columns a chunk at a time, with one code per distinct address.
+    """Collects flow columns a chunk at a time, with one code per distinct address; ``add`` checks every chunk.
 
     Each column is one array that ``add`` grows in place, doubling it with ``ndarray.resize`` (a realloc), and
     ``columns`` cuts to ``n_rows``. No view of a column is kept across an ``add``.
@@ -312,8 +321,22 @@ class _TableBuilder:
         return np.array([index.setdefault(text, len(index)) for text in texts], dtype=np.int32)
 
     def add(self, **columns) -> None:
-        """Append one chunk of rows; seq_no defaults to the rows' positions."""
+        """Append one chunk of rows, seq_no defaulting to their positions, if every value is within ``_BOUNDS`` (as
+        given, before the cast to its column's dtype) and no flow with packets has zero bytes. Else raise a ValueError
+        naming the first bad record and field, and append nothing."""
         start, end = self.n_rows, self.n_rows + len(columns["bytes_total"])
+        values = {name: np.asarray(columns[name]) for name in _BOUNDS}
+        for name, array in values.items():  # such as uint64, which numpy 1.x compares with a Python int as float64
+            if array.dtype.kind not in "bi" + np.dtype(_COLUMN_TYPES[name]).kind:
+                values[name] = np.array(columns[name], dtype=object)  # so Python compares them, exactly
+        rules = [(name, (values[name] >= lo) & (values[name] <= hi), rule) for name, (lo, hi, rule) in _BOUNDS.items()]
+        size, packets, has_packets = values["bytes_total"], values["packets_total"], np.asarray(columns["has_packets"])
+        rules.append(("bytes_total", (size >= 1) | (packets < 1) | ~has_packets, "at least 1 in a flow with packets"))
+        for name, ok, rule in rules:
+            if not ok.all():
+                row = int(np.argmin(ok))
+                raise ValueError(f"record {start + row}: field {name} must be {rule}, got {values[name][row]}")
+        columns.update(values)
         columns.setdefault("seq_no", np.arange(start, end))
         for name, column in self._columns.items():
             if end > len(column):
@@ -322,15 +345,9 @@ class _TableBuilder:
         self.n_rows = end
 
     def add_rows(self, rows: Iterable[tuple]) -> None:
-        """Append rows of FlowRecord field values (None: absent; seq_no optional); a port outside 0..65535 raises."""
+        """Append rows of FlowRecord field values (None: absent; seq_no optional) a chunk at a time through ``add``."""
         for chunk in chunks(rows, _CHUNK_ROWS):
             src_ip, src_port, dst_ip, dst_port, packets, bytes_total, rel_start, duration, label, *seq_no = zip(*chunk)
-            for name, ports in (("src_port", src_port), ("dst_port", dst_port)):
-                values = np.asarray(ports)
-                bad = np.flatnonzero((values < 0) | (values > 65535))
-                if bad.size:
-                    row = bad[0]
-                    raise ValueError(f"record {self.n_rows + row}: field {name} must be in 0..65535, got {ports[row]}")
             self.add(
                 **self.codes(src_ip, dst_ip, validate=False),
                 src_port=src_port,
@@ -482,38 +499,27 @@ def _check_csv_row(row: Sequence[str], line: int) -> None:
     _float_field(row[7], "duration_s", line)
 
 
-def _in_range(src_port, dst_port, packets_total, has_packets, bytes_total, rel_start, duration) -> bool:
-    """Whether a chunk's number columns pass the row checks' range checks."""
-    return (
-        bool(((src_port >= 0) & (src_port <= 65535) & (dst_port >= 0) & (dst_port <= 65535)).all())
-        and bool(((packets_total >= 0) & (bytes_total >= 0)).all())
-        and not (has_packets & (packets_total >= 1) & (bytes_total < 1)).any()
-        and all(((times >= 0.0) & np.isfinite(times)).all() for times in (rel_start, duration))
-    )
-
-
 def _csv_columns(table: _TableBuilder, has_label: bool, cells: list[Sequence[str]], lines: Sequence[int]) -> None:
     """Convert rows given column by column, ``lines`` numbering them, as arrays.
 
-    If any check fails, nothing is added: the rows are checked, not
-    converted, one by one (``_check_csv_row``), which raises at the first
-    bad row.
+    If a cell does not convert, an address is not one, or ``table.add``
+    refuses the rows, nothing is added: the rows are checked, not converted,
+    one by one (``_check_csv_row``), which raises at the first bad row.
     """
     try:
         codes = table.codes([text.strip() for text in cells[0]], [text.strip() for text in cells[2]], validate=True)
         columns = {"src_port": _ints(cells[1]), "dst_port": _ints(cells[3]), "bytes_total": _ints(cells[5])}
         columns["packets_total"], columns["has_packets"] = _optional_ints(cells[4])
         columns["rel_start"], columns["duration"] = _floats(cells[6]), _floats(cells[7])
+        label = [_LABEL_CELLS.get(text.strip(), -1) for text in cells[8]] if has_label else -1
+        if codes is not None:
+            table.add(**codes, **columns, label=label)
+            return
     except (ValueError, OverflowError):
-        valid = False
-    else:
-        valid = codes is not None and _in_range(**columns)
-    if not valid:
-        for row, line in zip(zip(*cells), lines):
-            _check_csv_row(row, line)
-        raise AssertionError(f"lines {lines[0]}..{lines[-1]} fail the column checks but pass the row checks")
-    label = [_LABEL_CELLS.get(text.strip(), -1) for text in cells[8]] if has_label else np.full(len(lines), -1)
-    table.add(**codes, **columns, label=label)
+        pass
+    for row, line in zip(zip(*cells), lines):
+        _check_csv_row(row, line)
+    raise AssertionError(f"lines {lines[0]}..{lines[-1]} fail the column checks but pass the row checks")
 
 
 #: numpy's row type of a flow CSV line, label aside. An address is read as
@@ -527,13 +533,13 @@ def _tokenized_columns(table: _TableBuilder, has_label: bool, body: str) -> bool
 
     Canonical: printable ASCII, which ``np.loadtxt`` converts without a
     warning, dotted-quad addresses while the table holds IPv4 numbers, labels
-    "0", "1" or empty, and numbers in range. On printable ASCII ``loadtxt``
-    converts a number cell only where ``int()`` or ``float()`` gives the same
-    value, bit for bit, and it refuses a blank packet count. numpy 1.x reads
-    a float cell such as "1.0" into an int column with a warning; ``int()``
-    refuses it, and so does this path, as it refuses any warning. That
-    filter is the whole process's (``warnings.catch_warnings``), which is not
-    thread-safe.
+    "0", "1" or empty, and rows that ``table.add`` takes. On printable ASCII
+    ``loadtxt`` converts a number cell only where ``int()`` or ``float()``
+    gives the same value, bit for bit, and it refuses a blank packet count.
+    numpy 1.x reads a float cell such as "1.0" into an int column with a
+    warning; ``int()`` refuses it, and so does this path, as it refuses any
+    warning. That filter is the whole process's (``warnings.catch_warnings``),
+    which is not thread-safe.
     """
     if table._index is not None or not printable(body):
         return False
@@ -546,16 +552,14 @@ def _tokenized_columns(table: _TableBuilder, has_label: bool, body: str) -> bool
         return False
     codes = table.ipv4_codes(np.concatenate((rows["src_ip"], rows["dst_ip"])))
     columns = {name: rows[name] for name, _ in _CSV_ROW if name not in ("src_ip", "dst_ip")}
-    label = -1
-    if has_label:
-        cells = rows["label"]
-        one, absent = cells == b"1", cells == b""
-        if not (one | absent | (cells == b"0")).all():
-            return False
-        label = one.astype(np.int8) - absent
-    if codes is None or not _in_range(**columns, has_packets=True):
+    # A label other than "0", "1" or "" reads as 2, which ``table.add`` refuses, so that the comma split reads it.
+    label = np.select([rows["label"] == cell for cell in (b"1", b"0", b"")], [1, 0, -1], 2) if has_label else -1
+    if codes is None:
         return False
-    table.add(**codes, **columns, has_packets=True, label=label)
+    try:
+        table.add(**codes, **columns, has_packets=True, label=label)
+    except ValueError:
+        return False
     return True
 
 
@@ -628,18 +632,24 @@ def write_flow_csv(dataset: FlowDataset, sink: str | Path | IO[str]) -> None:
     """Serialize a dataset to the canonical flow CSV, one ``%`` template per chunk of rows.
 
     One ``with`` opens and closes a path, or takes a caller's stream and leaves it open. Floats are written as
-    ``repr``, and addresses quoted as ``csv.writer`` would. ``parse_flow_csv`` reads the file back to the same table,
-    seq_no aside, when every endpoint is an IP address. Hostname endpoints (tshark) do not read back: an open decision.
+    ``repr``. ``parse_flow_csv`` reads the file back to the same table, seq_no aside, so every endpoint must be an IP
+    address that a cell holds as it is; else, such as for a tshark hostname, a ValueError names the first one before a
+    path is opened or a byte written.
     """
+    if dataset._addresses is not None:  # an IPv4 table holds dotted quads only
+        used = np.unique(np.concatenate((dataset.src_code, dataset.dst_code))).tolist()
+        for text in map(dataset._addresses.__getitem__, used):
+            # An IPv6 scope id may hold a comma, a quote, a space or a control character, which a cell does not keep.
+            if not _is_address(text) or not text.isprintable() or set(' ,"').intersection(text):
+                raise ValueError(f"endpoint {_quote(text)} is not an IP address that a flow CSV cell holds")
     with nullcontext(sink) if hasattr(sink, "write") else open(sink, "w", encoding="utf-8", newline="") as stream:
         with_label = dataset.labeled or bool((dataset.label >= 0).any())
         header = CSV_COLUMNS + ((CSV_LABEL_COLUMN,) if with_label else ())
         stream.write(",".join(header) + "\n")
-        addresses = None if dataset._addresses is None else csv_cells(dataset._addresses)
         # rel_start_s and duration_s are floats (%r); the other cells are ints, addresses or "".
         template = ",".join(["%s"] * 6 + ["%r"] * 2 + ["%s"] * with_label) + "\n"
         for lo in range(0, len(dataset), _CHUNK_ROWS):
-            values = dataset._row_values(slice(lo, lo + _CHUNK_ROWS), "", addresses)[: len(header)]
+            values = dataset._row_values(slice(lo, lo + _CHUNK_ROWS), "", dataset._addresses)[: len(header)]
             cells = tuple(chain.from_iterable(zip(*values)))
             stream.write(template * (len(cells) // len(header)) % cells)
 

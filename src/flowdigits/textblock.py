@@ -154,20 +154,3 @@ def ipv4_texts(values: np.ndarray) -> list[str]:
     quads = _octet_texts()[values[:, None] >> np.uint32([24, 16, 8, 0]) & 255]
     quads[:, 0, 0] = ord(" ")  # the first octet's dot parts one quad from the one before
     return quads.tobytes().replace(b"\0", b"").decode("ascii").split()
-
-
-def csv_cells(texts: Sequence[str]) -> Sequence[str]:
-    """Each text as ``csv.writer`` writes it as a cell of a row of several; quoted only where needed."""
-    if not any(char in "".join(texts) for char in ',"\r\n'):
-        return texts
-    # csv.writer's writerow returns what its file's write returns: here, the row's text.
-    writer = csv.writer(_Echo(), lineterminator="\n")
-    return [writer.writerow((text, ""))[: -len(",\n")] for text in texts]
-
-
-class _Echo:
-    """A file whose write returns the text written."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text

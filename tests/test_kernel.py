@@ -255,7 +255,9 @@ SIZES = st.lists(
 @given(sizes=SIZES, w=st.integers(1, 25), step=st.integers(1, 25), policy=st.sampled_from(list(ZeroPolicy)))
 def test_run_detector_bit_identical_to_brute_force_windows(sizes, w, step, policy):
     step = min(step, w)
-    dataset = FlowDataset(flows=tuple(make_flow(i, bytes_total=v) for i, v in enumerate(sizes)), labeled=False)
+    dataset = FlowDataset(
+        flows=tuple(make_flow(i, packets_total=None, bytes_total=v) for i, v in enumerate(sizes)), labeled=False
+    )
     for metric in SimilarityMetric:
         config = DetectorConfig(window=WindowSpec(w, step), metric=metric, zero_policy=policy)
         got = run_detector(dataset, config)
@@ -284,7 +286,9 @@ def test_scaling_every_size_by_a_power_of_ten_keeps_every_score(sizes, data):
     scaled = [v * 10**k for v in sizes]
     assert max(scaled) <= MAX_SIZE
     datasets = [
-        FlowDataset(flows=tuple(make_flow(i, bytes_total=v) for i, v in enumerate(values)), labeled=False)
+        FlowDataset(
+            flows=tuple(make_flow(i, packets_total=None, bytes_total=v) for i, v in enumerate(values)), labeled=False
+        )
         for values in (sizes, scaled)
     ]
     for policy in ZeroPolicy:
@@ -415,7 +419,9 @@ def test_window_counts_equal_bruteforce_bincount_per_batch(sizes, data):
     step = data.draw(st.sampled_from([1, max(1, w // 2), w]), label="step")
     chunk = data.draw(st.integers(1, 6), label="chunk")  # batches shorter than a window, and a short last one
     span = data.draw(st.sampled_from([1, 2, 5, 1 << 16]), label="span")
-    dataset = FlowDataset(flows=tuple(make_flow(i, bytes_total=v) for i, v in enumerate(sizes)), labeled=False)
+    dataset = FlowDataset(
+        flows=tuple(make_flow(i, packets_total=None, bytes_total=v) for i, v in enumerate(sizes)), labeled=False
+    )
     flows = OrderedFlows(dataset, DetectorConfig(window=WindowSpec(w, step)))
     starts = window_starts(n, WindowSpec(w, step))
     digits = leading_digits(np.abs(np.diff(np.array(sizes, dtype=np.int64))))
