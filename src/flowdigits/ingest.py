@@ -4,19 +4,20 @@ Three input formats produce the same in-memory dataset: the canonical flow
 CSV (this package's interchange format), the plain-text TCP conversation
 table printed by ``tshark -r <pcap> -q -z conv,tcp``, and KDD Cup 1999
 connection records. Parsing is single-pass streaming: every parser reads
-its input in chunks of ``_CHUNK_ROWS`` lines or rows (``textblock.chunks``)
-and converts each chunk before it reads the next, so a bad row read before
-a read error raises first. The table builder (``_TableBuilder``) checks
-each converted chunk against the one set of column rules and appends it to
-columns that grow in place; the flow CSV, tshark and ``FlowDataset(flows)``
-build through it. The flow CSV converts a plain chunk with one
-``np.loadtxt`` call, or splits it on commas, and hands the input from its
-first other chunk to ``csv.reader``; a chunk that fails a check is checked
-row by row, which raises at its first bad row. A KDD chunk is converted from
-its bytes through one comma index; only its odd lines are split one by
-one (``_kdd_block``). tshark checks each row as it reads it. Input that is
-not UTF-8, a truncated or corrupt gzip file, or a CSV cell over the
-``csv`` field limit, is a ParseError.
+a chunk of at most ``_CHUNK_ROWS`` lines or rows at a time and converts it
+before it reads the next, so a bad row read before a read error raises
+first. The table builder (``_TableBuilder``) checks each converted chunk
+against the one set of column rules and appends it to columns that grow in
+place; the flow CSV, tshark and ``FlowDataset(flows)`` build through it.
+The flow CSV converts a plain chunk with one ``np.loadtxt`` call, or
+splits it on commas, and hands the input from its first other chunk to
+``csv.reader``; a chunk that fails a check is checked row by row, which
+raises at its first bad row. KDD bytes are read raw, cut at line ends and
+checked as UTF-8 only where converted, so the first error in file order
+raises (``_line_blocks``); a block goes through one comma index, only odd
+lines one by one (``_kdd_block``). tshark checks each row as it reads it.
+Input that is not UTF-8, a truncated or corrupt gzip file, or a CSV cell
+over the ``csv`` field limit, is a ParseError.
 
 A dataset is a columnar flow table: one numpy array per flow field, where
 row i describes the i-th flow in dataset order.
@@ -42,6 +43,7 @@ dotted-quad IPv4, the codes are ranks of their sorted 32-bit numbers, which
 the IP orderings sort, and the strings are built on first read. The arrays
 are read-only and nothing changes a dataset once built, so it is safe to
 share between threads: threads that build a cached view at once get equal ones.
+Parsing is not: ``_tokenized_columns`` sets a process-wide warnings filter.
 ``dataset.flows`` is the same table as a tuple of ``FlowRecord``; it is
 built on first read and cached, and scoring never reads it.
 """
@@ -62,7 +64,7 @@ from enum import Enum
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,8 +232,8 @@ class FlowDataset:
 #: Largest flow size the scoring arrays (int64) can hold.
 MAX_SIZE = 2**63 - 1
 
-#: Rows converted to arrays at a time while parsing.
-_CHUNK_ROWS = 1024
+#: Rows converted to arrays at a time while parsing, and bytes asked of a binary KDD source per read.
+_CHUNK_ROWS, _READ_BYTES = 1024, 128 * 1024
 
 #: Strict dotted-quad IPv4, exactly as ``ipaddress`` accepts it: four ASCII
 #: decimal octets up to 255, without leading zeros.
@@ -322,20 +324,26 @@ class _TableBuilder:
 
     def add(self, **columns) -> None:
         """Append one chunk of rows, seq_no defaulting to their positions, if every value is within ``_BOUNDS`` (as
-        given, before the cast to its column's dtype) and no flow with packets has zero bytes. Else raise a ValueError
-        naming the first bad record and field, and append nothing."""
+        given, before the cast to its column's dtype), an integer column holds integers only, and no flow with packets
+        has zero bytes. Else raise a ValueError naming the first bad record and field, and append nothing."""
         start, end = self.n_rows, self.n_rows + len(columns["bytes_total"])
         values = {name: np.asarray(columns[name]) for name in _BOUNDS}
-        for name, array in values.items():  # such as uint64, which numpy 1.x compares with a Python int as float64
-            if array.dtype.kind not in "bi" + np.dtype(_COLUMN_TYPES[name]).kind:
-                values[name] = np.array(columns[name], dtype=object)  # so Python compares them, exactly
-        rules = [(name, (values[name] >= lo) & (values[name] <= hi), rule) for name, (lo, hi, rule) in _BOUNDS.items()]
-        size, packets, has_packets = values["bytes_total"], values["packets_total"], np.asarray(columns["has_packets"])
-        rules.append(("bytes_total", (size >= 1) | (packets < 1) | ~has_packets, "at least 1 in a flow with packets"))
-        for name, ok, rule in rules:
+
+        def check(name: str, ok: np.ndarray, rule: str) -> None:
             if not ok.all():
                 row = int(np.argmin(ok))
                 raise ValueError(f"record {start + row}: field {name} must be {rule}, got {values[name][row]}")
+
+        for name, array in values.items():  # such as uint64, which numpy 1.x compares with a Python int as float64
+            if array.dtype.kind not in "bi" + (kind := np.dtype(_COLUMN_TYPES[name]).kind):
+                values[name] = array = np.array(columns[name], dtype=object)  # so Python compares them, exactly
+                if kind == "i":  # the cast would truncate a float (80.9 to 80): only integers pass, checked first
+                    check(name, np.array([isinstance(v, (int, np.integer)) for v in array]), "an integer")
+        rules = [(name, (values[name] >= lo) & (values[name] <= hi), rule) for name, (lo, hi, rule) in _BOUNDS.items()]
+        size, packets, has_packets = values["bytes_total"], values["packets_total"], np.asarray(columns["has_packets"])
+        rules.append(("bytes_total", (size >= 1) | (packets < 1) | ~has_packets, "at least 1 in a flow with packets"))
+        for rule in rules:
+            check(*rule)
         columns.update(values)
         columns.setdefault("seq_no", np.arange(start, end))
         for name, column in self._columns.items():
@@ -379,40 +387,37 @@ class _TableBuilder:
 
 
 @contextmanager
-def _open_text(source: str | Path | IO) -> Iterator[IO[str]]:
-    """Normalize a path / bytes / binary stream / text stream to a text stream.
+def _open_text(source: str | Path | IO, binary: bool = False) -> Iterator[IO]:
+    """Normalize a path / bytes / binary stream / text stream to a text stream, or with ``binary`` a binary one.
 
-    Paths are opened and closed here; paths ending in .gz are decompressed
-    transparently. Paths and ``bytes`` (as a ``BytesIO``) take the binary
-    stream path: one text wrapper decodes what it reads, and is detached
-    afterwards, so a caller's stream is never closed. Bytes that are not
-    UTF-8 raise a ParseError with their byte offset, and for ``bytes`` input
-    with their line. So does a truncated or corrupt gzip stream, with the
-    offset up to which it decompressed.
+    Paths are opened and closed here, and .gz paths decompressed. Paths and ``bytes`` (as a ``BytesIO``) take the
+    binary stream path: unless ``binary``, a text wrapper decodes what it reads and is then detached, so a caller's
+    stream is never closed. A UnicodeDecodeError over bytes up to the stream's tell() is a ParseError with the bad
+    byte's offset, and for ``bytes`` its line; so is a cut or corrupt gzip stream, with the offset it decompressed to.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as binary, _open_text(binary) as stream:
+        with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as raw, _open_text(raw, binary) as stream:
             yield stream
         return
     data = source if isinstance(source, (bytes, bytearray)) else None
     source = source if data is None else io.BytesIO(data)
     if not hasattr(source, "read"):
         raise TypeError(f"unsupported input source: {type(source)!r}")
-    binary = isinstance(source.read(0), bytes)
-    stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="") if binary else source
+    raw = isinstance(source.read(0), bytes)
+    stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="") if raw and not binary else source
     try:
         yield stream
     except UnicodeDecodeError as exc:
-        # The wrapper decodes the bytes it last read, which end at the stream's tell().
-        offset = source.tell() - len(exc.object) + exc.start if binary and source.seekable() else None
+        # The bytes decoded last end at the stream's tell().
+        offset = source.tell() - len(exc.object) + exc.start if raw and source.seekable() else None
         raise _undecodable(exc, offset, None if data is None else _line_breaks(data[:offset]) + 1) from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        offset = source.tell() if binary and source.seekable() else None
+        offset = source.tell() if raw and source.seekable() else None
         at = "" if offset is None else f" after byte offset {offset}"
         raise ParseError(f"compressed input is truncated or corrupt{at}: {exc}") from None
     finally:
-        if binary:
+        if stream is not source:
             stream.detach()
 
 
@@ -768,27 +773,65 @@ def adapt_kdd(source: str | Path | IO, source_name: str = "", max_flows: int | N
     only). The class label maps to 0 for "normal." and 1 for everything
     else; a trailing dot on the class is optional. ``max_flows`` truncates
     the dataset after that many TCP flows (for desk-scale runs); no line
-    after the last one kept is read. Each chunk of lines is converted from
-    its bytes (``_kdd_block``), whatever its line ends: LF, CRLF or CR.
+    after the last one kept is checked, nor a later block read. Each block
+    (``_line_blocks``) is converted from its bytes (``_kdd_block``).
     """
     if max_flows is not None and max_flows < 1:
         raise ValueError(f"max_flows must be at least 1, got {max_flows}")
-    blocks = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))]  # (bytes_total, label) of each chunk
-    with _open_text(source) as stream:
+    blocks = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))]  # (bytes_total, label) of each block
+    with _open_text(source, binary=True) as stream:
         lineno, kept = 1, 0
-        # A line holds at most one record, so a chunk ends at the max_flows-th TCP row at the latest.
-        for lines in chunks(stream, lambda: _CHUNK_ROWS if max_flows is None else min(_CHUNK_ROWS, max_flows - kept)):
-            blocks.append(_kdd_block(lines, lineno))
-            lineno += len(lines)
+        # A line holds at most one record, so a block ends at the max_flows-th TCP row at the latest.
+        for data, ends in _line_blocks(stream, lambda: min(_CHUNK_ROWS, (max_flows or math.inf) - kept)):
+            blocks.append(_kdd_block(data, ends, lineno))
+            lineno += len(ends)
             kept += len(blocks[-1][0])
             if kept == max_flows:
                 break
-            del lines  # free this block before the next one is read
-    # The other columns are constant: placeholder endpoints (code 0) and ports, no packets, no duration.
-    columns = {name: np.zeros(kept, dtype=dtype) for name, dtype in _COLUMN_TYPES.items()}
-    columns["bytes_total"], columns["label"] = map(np.concatenate, zip(*blocks))
+            del data  # free this block before the next one is read
+    columns = dict(zip(("bytes_total", "label"), map(np.concatenate, zip(*blocks))))
     columns.update(rel_start=np.arange(kept, dtype=np.float64), seq_no=np.arange(kept))
+    # The other columns are constant, each made once: placeholder endpoints (code 0) and ports, no packets, no duration.
+    columns.update({name: np.zeros(kept, dtype) for name, dtype in _COLUMN_TYPES.items() if name not in columns})
     return FlowDataset._from_columns(columns, None, np.zeros(1, dtype=np.uint32), True, source_name)
+
+
+def _line_blocks(stream: IO, limit: Callable[[], int]) -> Iterator[tuple[bytes, np.ndarray]]:
+    """(data, ends) of each block of at most ``limit()`` lines of a stream: their UTF-8 bytes, and each line's end.
+
+    A text stream splits its own lines. A binary one is read ``_READ_BYTES`` at a time (``read1``: a cut gzip stream
+    hands over what it decompressed first), each read handed out up to its last LF, CRLF or lone CR; a BOM is skipped.
+    The lines before an undecodable byte come first, then its UnicodeDecodeError over the bytes up to the tell().
+    """
+    if not isinstance(stream.read(0), bytes):
+        for lines in chunks(stream, limit):
+            text = "".join(lines)
+            sized = lines if text.isascii() else [line.encode("utf-8", "surrogatepass") for line in lines]
+            yield text.encode("utf-8", "surrogatepass"), np.cumsum(np.fromiter(map(len, sized), np.intp, len(lines)))
+        return
+    read = getattr(stream, "read1", stream.read)
+    buf, more = stream.read(3).removeprefix(b"\xef\xbb\xbf"), True
+    while more:
+        more = read(_READ_BYTES)
+        buf += more
+        breaks = np.frombuffer(buf, dtype=np.uint8) == 10
+        if b"\r" in buf:  # a CR ends a line unless an LF follows it; one that ends the read waits for the next
+            breaks |= (np.frombuffer(buf, dtype=np.uint8) == 13) & ~np.append(breaks[1:], True)
+        breaks[-1:] |= not more  # the input's last line ends with it
+        ends = np.flatnonzero(breaks) + 1
+        del breaks  # so that of this read only ``buf`` stays while its blocks are converted
+        while len(ends):
+            block, ends = np.split(ends, [limit()])
+            data, buf = buf[: block[-1]], buf[block[-1] :]
+            try:
+                data.isascii() or data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                block = block[block <= exc.start]  # the lines wholly before the undecodable byte
+                if len(block):
+                    yield data[: block[-1]], block
+                raise UnicodeDecodeError(exc.encoding, data + buf, exc.start, exc.end, exc.reason) from None
+            yield data, block
+            ends -= block[-1]
 
 
 #: Bytes a class of the byte path may hold: ASCII letters and digits, "_", "." and "-".
@@ -807,28 +850,23 @@ def _bytes_of(data: np.ndarray, starts: np.ndarray, widths: np.ndarray, least: i
     return cells
 
 
-def _kdd_block(lines: list[str], lineno: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bytes_total, label) of the TCP records among the lines; ``lineno`` numbers the first line.
+def _kdd_block(data: bytes, ends: np.ndarray, lineno: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bytes_total, label) of the TCP records in a block of lines: their bytes, ``ends`` the offset after each line.
 
-    A comma index of the block's bytes finds each line's protocol, counts and
-    class. Odd lines go to ``_kdd_row`` one by one: a quote or a byte from
-    NUL to CR before the line end, fewer than 41 commas, a protocol other
-    than exactly tcp, udp or icmp, or on a tcp line a count other than 1 to
-    18 ASCII digits or a class over 32 bytes or with a byte other than an
-    ASCII letter, digit, "_", "." or "-". A bad odd line makes ``_kdd_rows``
-    raise the block's first bad line.
+    A comma index finds each line's protocol, counts and class; ``lineno`` numbers the first line. Odd lines are
+    decoded and go to ``_kdd_row`` one by one: a quote or a byte from NUL to CR before the line end, fewer than 41
+    commas, a protocol other than exactly tcp, udp or icmp, or on a tcp line a count other than 1 to 18 ASCII digits
+    or a class over 32 bytes or with a byte other than an ASCII letter, digit, "_", "." or "-". A bad odd line makes
+    ``_kdd_rows`` raise the block's first bad line.
     """
-    text = "".join([*lines, "." * 32])  # a cell read past the last line reads dots
-    encoded = text.encode("utf-8", "surrogatepass")
+    encoded = data + b"." * 32  # a cell read past the last line reads dots
     data = np.frombuffer(encoded, dtype=np.uint8)
-    sized = lines if text.isascii() else [line.encode("utf-8", "surrogatepass") for line in lines]
-    ends = np.cumsum(np.fromiter(map(len, sized), dtype=np.intp, count=len(lines)))
     stops = ends - (data[ends - 1] == 10)  # the line without its LF, CRLF or CR
     stops -= data[stops - 1] == 13
     commas = np.flatnonzero(data == 44)
     cuts = np.searchsorted(commas, np.append(0, ends))  # line i holds the commas cuts[i]:cuts[i + 1]
     odd = np.diff(cuts) < 41
-    if '"' in text or np.count_nonzero(data < 14) != (ends - stops).sum():  # a quote, or a control byte in a line
+    if b'"' in encoded or np.count_nonzero(data < 14) != (ends - stops).sum():  # a quote, or a control byte in a line
         marks = np.flatnonzero((data < 14) | (data == 34))
         at = np.searchsorted(ends, marks, side="right")
         odd[at[marks < stops[at]]] = True
@@ -845,16 +883,18 @@ def _kdd_block(lines: list[str], lineno: int) -> tuple[np.ndarray, np.ndarray]:
     cls = _bytes_of(data, cls_start, stops[rows] - cls_start, 6, 32, 46)
     plain = ((widths >= 1) & (widths <= 18) & (digits <= 9).all(axis=0)).reshape(2, -1).all(axis=0)
     odd[rows[~(plain & (stops[rows] - cls_start <= 32) & _CLASS_BYTES.take(cls).all(axis=0))]] = True
-    size, label = np.full(len(lines), -1, dtype=np.int64), np.zeros(len(lines), dtype=np.int8)
+    size, label = np.full(len(ends), -1, dtype=np.int64), np.zeros(len(ends), dtype=np.int8)
     size[rows], label[rows] = numbers.reshape(2, -1).sum(axis=0), ~(cls == _NORMAL[: len(cls), None]).all(axis=0)
     size[odd] = -1
+    def line(i: int) -> str:
+        return encoded[ends[i - 1] if i else 0 : ends[i]].decode("utf-8", "surrogatepass")
     try:
         for i in np.flatnonzero(odd).tolist():
-            size[i], label[i] = _kdd_row(lines[i], lineno + i) or (-1, 0)
+            size[i], label[i] = _kdd_row(line(i), lineno + i) or (-1, 0)
     except ParseError:  # so the block's first bad line is found row by row, from the top
         size = None
     if size is None:
-        _kdd_rows(lines, lineno)
+        _kdd_rows(list(map(line, range(len(ends)))), lineno)
     return size[size >= 0], label[size >= 0]
 
 

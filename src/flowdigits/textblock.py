@@ -1,11 +1,11 @@
 """Line-oriented text read, checked and written a block at a time.
 
-``ingest`` reads every input through ``chunks``, a block of lines or rows
-at a time, and builds the flow table from the results; these helpers know
-nothing of flows. They check a whole block with a few string and numpy
-operations and say so when it needs the slower exact path: a block that
-is not plain CSV goes to ``csv.reader``, a batch of addresses that are
-not all dotted quads to per-address checks.
+``ingest`` reads text (not binary KDD input) through ``chunks``, a block
+of lines or rows at a time, and builds the flow table from the results;
+these helpers know nothing of flows. They check a whole block with a few
+string and numpy operations and say so when it needs the slower exact
+path: a block that is not plain CSV goes to ``csv.reader``, a batch of
+addresses that are not all dotted quads to per-address checks.
 """
 
 from __future__ import annotations

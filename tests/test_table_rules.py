@@ -9,9 +9,12 @@ is not an IP address before it writes a byte.
 import dataclasses
 import io
 import math
+from decimal import Decimal
+from fractions import Fraction
 from operator import attrgetter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +74,51 @@ def test_a_size_beyond_int64_is_refused_though_a_later_record_is_negative(chunk_
     with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
         with pytest.raises(ValueError, match=f"^record 3: field bytes_total must be {SIZES}, got {2**63}$"):
             FlowDataset(flows, labeled=True)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"src_port": 80.9}, "field src_port must be an integer, got 80.9"),
+        ({"src_port": 80.0}, "field src_port must be an integer, got 80.0"),
+        ({"dst_port": np.float64(2.5)}, "field dst_port must be an integer, got 2.5"),
+        ({"packets_total": 3.5}, "field packets_total must be an integer, got 3.5"),
+        ({"packets_total": Fraction(7, 2)}, "field packets_total must be an integer, got 7/2"),
+        ({"bytes_total": 100.7}, "field bytes_total must be an integer, got 100.7"),
+        ({"bytes_total": Decimal("100")}, "field bytes_total must be an integer, got 100"),
+        ({"label": 0.5}, "field label must be an integer, got 0.5"),
+        ({"label": 1.0}, "field label must be an integer, got 1.0"),
+        ({"src_port": "80"}, "field src_port must be an integer, got 80"),
+        ({"dst_port": None}, "field dst_port must be an integer, got None"),
+    ],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_a_float_or_other_non_integer_in_an_integer_column_is_refused(change, message, chunk_rows, labeled):
+    """The cast to the integer column would keep 80 of 80.9, while ``.flows`` kept 80.9."""
+    flows = [dataclasses.replace(GOOD, seq_no=i) for i in range(5)]
+    flows[3] = dataclasses.replace(flows[3], **change)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows), pytest.raises(ValueError) as caught:
+        FlowDataset(flows, labeled=labeled)
+    assert str(caught.value) == f"record 3: {message}"
+
+
+def test_the_record_of_truncated_floats_is_refused_at_its_first_integer_field():
+    record = FlowRecord("10.0.0.1", 80.9, "10.0.0.2", 2, 3, 100.7, 0.0, 1.0, 0.5, 0)
+    with pytest.raises(ValueError, match=r"^record 0: field src_port must be an integer, got 80\.9$"):
+        FlowDataset([record], labeled=True)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+def test_integer_columns_still_take_numpy_integers_bools_and_integers_beyond_int64_within_bounds(chunk_rows):
+    flows = [
+        dataclasses.replace(GOOD, src_port=np.int64(80), bytes_total=np.uint64(2**63 - 1), label=True),
+        dataclasses.replace(GOOD, packets_total=np.uint8(7), label=np.int8(0), seq_no=1),
+    ]
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        dataset = FlowDataset(flows, labeled=True)
+    assert dataset.src_port.tolist() == [80, 1] and dataset.bytes_total.tolist() == [2**63 - 1, 100]
+    assert dataset.packets_total.tolist() == [3, 7] and dataset.label.tolist() == [1, 0]
 
 
 def test_a_refused_chunk_appends_nothing():
