@@ -9,13 +9,14 @@ before it reads the next, so a bad row read before a read error raises
 first. The table builder (``_TableBuilder``) checks each converted chunk
 against the one set of column rules and appends it to columns that grow in
 place; the flow CSV, tshark and ``FlowDataset(flows)`` build through it.
-The flow CSV converts a plain chunk with one ``np.loadtxt`` call, or
-splits it on commas, and hands the input from its first other chunk to
-``csv.reader``; a chunk that fails a check is checked row by row, which
-raises at its first bad row. KDD bytes are read raw, cut at line ends and
-checked as UTF-8 only where converted, so the first error in file order
-raises (``_line_blocks``); a block goes through one comma index, only odd
-lines one by one (``_kdd_block``). tshark checks each row as it reads it.
+The flow CSV converts a plain chunk with one ``np.loadtxt`` call, else
+reads it with ``csv.reader``: on its own if it holds rows of the header's
+width only, else with the rest of the input; a chunk that fails a check
+is checked row by row, which raises at its first bad row. KDD bytes are
+read raw, cut at line ends and checked as UTF-8 only where converted, so
+the first error in file order raises (``_line_blocks``); a block goes
+through one comma index, only odd lines one by one (``_kdd_block``).
+tshark checks each row as it reads it.
 Input that is not UTF-8, a truncated or corrupt gzip file, or a CSV cell
 over the ``csv`` field limit, is a ParseError.
 
@@ -55,6 +56,7 @@ import gzip
 import io
 import ipaddress
 import math
+import numbers
 import re
 import warnings
 import zlib
@@ -69,7 +71,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import FormatError, ParseError
-from .textblock import chunks, ipv4_texts, ipv4_values, plain_text, printable, split_cells
+from .textblock import chunks, ipv4_texts, ipv4_values, plain_text, printable
 
 CSV_COLUMNS = ("src_ip", "src_port", "dst_ip", "dst_port", "packets_total", "bytes_total", "rel_start_s", "duration_s")
 CSV_LABEL_COLUMN = "label"
@@ -285,6 +287,10 @@ _TIME = (0.0, np.finfo(np.float64).max, "finite and non-negative")
 #: The bounds of each column that ``_TableBuilder.add`` checks, and the rule they make, in the order checked.
 _BOUNDS = dict(src_port=_PORT, dst_port=_PORT, packets_total=_SIZE, bytes_total=_SIZE, rel_start=_TIME, duration=_TIME)
 _BOUNDS["label"] = (-1, 1, "in -1..1")
+#: The types an integer or a float column takes, and refuses, checked before its bounds: the cast to an integer
+#: column would truncate a float (80.9 to 80), and a str, None or complex value does not compare with a bound.
+_KINDS = {"i": ((int, np.integer), (), "an integer")}
+_KINDS["f"] = ((numbers.Number, np.bool_), (complex, np.complexfloating), "a number")
 
 
 class _TableBuilder:
@@ -323,8 +329,8 @@ class _TableBuilder:
         return np.array([index.setdefault(text, len(index)) for text in texts], dtype=np.int32)
 
     def add(self, **columns) -> None:
-        """Append one chunk of rows, seq_no defaulting to their positions, if every value is within ``_BOUNDS`` (as
-        given, before the cast to its column's dtype), an integer column holds integers only, and no flow with packets
+        """Append one chunk of rows, seq_no defaulting to their positions, if every value is of its column's kind
+        (``_KINDS``) and within ``_BOUNDS`` (as given, before the cast to its column's dtype), and no flow with packets
         has zero bytes. Else raise a ValueError naming the first bad record and field, and append nothing."""
         start, end = self.n_rows, self.n_rows + len(columns["bytes_total"])
         values = {name: np.asarray(columns[name]) for name in _BOUNDS}
@@ -337,8 +343,8 @@ class _TableBuilder:
         for name, array in values.items():  # such as uint64, which numpy 1.x compares with a Python int as float64
             if array.dtype.kind not in "bi" + (kind := np.dtype(_COLUMN_TYPES[name]).kind):
                 values[name] = array = np.array(columns[name], dtype=object)  # so Python compares them, exactly
-                if kind == "i":  # the cast would truncate a float (80.9 to 80): only integers pass, checked first
-                    check(name, np.array([isinstance(v, (int, np.integer)) for v in array]), "an integer")
+                takes, refuses, rule = _KINDS[kind]
+                check(name, np.array([isinstance(v, takes) and not isinstance(v, refuses) for v in array]), rule)
         rules = [(name, (values[name] >= lo) & (values[name] <= hi), rule) for name, (lo, hi, rule) in _BOUNDS.items()]
         size, packets, has_packets = values["bytes_total"], values["packets_total"], np.asarray(columns["has_packets"])
         rules.append(("bytes_total", (size >= 1) | (packets < 1) | ~has_packets, "at least 1 in a flow with packets"))
@@ -538,14 +544,18 @@ def _tokenized_columns(table: _TableBuilder, has_label: bool, body: str) -> bool
 
     Canonical: printable ASCII, which ``np.loadtxt`` converts without a
     warning, dotted-quad addresses while the table holds IPv4 numbers, labels
-    "0", "1" or empty, and rows that ``table.add`` takes. On printable ASCII
-    ``loadtxt`` converts a number cell only where ``int()`` or ``float()``
-    gives the same value, bit for bit, and it refuses a blank packet count.
-    numpy 1.x reads a float cell such as "1.0" into an int column with a
-    warning; ``int()`` refuses it, and so does this path, as it refuses any
-    warning. That filter is the whole process's (``warnings.catch_warnings``),
-    which is not thread-safe.
+    "0", "1" or empty, and rows that ``table.add`` takes. ``loadtxt`` refuses
+    a row of the wrong width (a line of spaces is one) and skips an empty
+    line, as ``_csv_rows`` does. On printable ASCII ``loadtxt`` converts a
+    number cell only where ``int()`` or ``float()`` gives the same value,
+    bit for bit, and it refuses a blank packet count. numpy 1.x reads a
+    float cell such as "1.0" into an int column with a warning; ``int()``
+    refuses it, and so does this path, as it refuses any warning. That
+    filter is the whole process's (``warnings.catch_warnings``), which is
+    not thread-safe. A block of blank lines only holds no row to add.
     """
+    if not body.strip("\n"):  # blank lines only: no row to add
+        return True
     if table._index is not None or not printable(body):
         return False
     dtype = _CSV_ROW + [("label", "S2")] * has_label
@@ -557,7 +567,7 @@ def _tokenized_columns(table: _TableBuilder, has_label: bool, body: str) -> bool
         return False
     codes = table.ipv4_codes(np.concatenate((rows["src_ip"], rows["dst_ip"])))
     columns = {name: rows[name] for name, _ in _CSV_ROW if name not in ("src_ip", "dst_ip")}
-    # A label other than "0", "1" or "" reads as 2, which ``table.add`` refuses, so that the comma split reads it.
+    # A label other than "0", "1" or "" reads as 2, which ``table.add`` refuses, so that ``csv.reader`` reads it.
     label = np.select([rows["label"] == cell for cell in (b"1", b"0", b"")], [1, 0, -1], 2) if has_label else -1
     if codes is None:
         return False
@@ -580,17 +590,18 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
     Lines are read in chunks of ``_CHUNK_ROWS`` (``textblock.chunks``). A
     chunk of plain lines (see ``textblock.plain_text``) is converted by one
     ``np.loadtxt`` call if it is canonical (``_tokenized_columns``), else
-    split on commas; the first chunk that is not plain, and the chunks after
-    it, are read by ``csv.reader``, whose rows are converted ``_CHUNK_ROWS``
-    at a time. All read the same rows, so quoting rules, values, messages
-    and line numbers do not depend on the chunks.
+    read by ``csv.reader`` one row per line if every row has the header's
+    width; the first chunk that is neither, and the chunks after it, are
+    read by one ``csv.reader``, whose rows are converted ``_CHUNK_ROWS`` at
+    a time. All read the same rows, so quoting rules, values, messages and
+    line numbers do not depend on the chunks.
     """
     with _open_text(source) as stream:
         reader = None
         read = 0  # lines read before the first line of ``reader``, or of the next block
         try:
             first = list(islice(stream, 1))
-            body = plain_text(first, first[0].count(",") + 1) if first else None
+            body = plain_text(first) if first else None
             if body is None:
                 reader = csv.reader(chain(first, stream))
                 header = tuple(cell.strip() for cell in next(reader))
@@ -603,16 +614,16 @@ def parse_flow_csv(source: str | Path | IO, source_name: str = "") -> FlowDatase
             read = 1 if reader is None else reader.line_num
             blocks = chunks(stream, _CHUNK_ROWS)
             for lines in blocks:
-                body = plain_text(lines, len(header))
-                if body is None:
-                    reader = csv.reader(chain(lines, chain.from_iterable(blocks)))
-                    for numbered in chunks(_csv_rows(reader, len(header), read), _CHUNK_ROWS):
-                        rows, numbers = zip(*numbered)
-                        _csv_columns(table, has_label, list(zip(*rows)), numbers)
-                    break
-                if not _tokenized_columns(table, has_label, body):
-                    numbers = range(read + 1, read + 1 + len(lines))
-                    _csv_columns(table, has_label, split_cells(body, len(header)), numbers)
+                body = plain_text(lines)
+                if body is None or not _tokenized_columns(table, has_label, body):
+                    rows = [] if body is None else list(csv.reader(lines))  # one row per line, without raising
+                    if not rows or {len(row) for row in rows} != {len(header)}:  # not plain, blank line or bad width
+                        reader = csv.reader(chain(lines, chain.from_iterable(blocks)))
+                        for numbered in chunks(_csv_rows(reader, len(header), read), _CHUNK_ROWS):
+                            rows, numbers = zip(*numbered)
+                            _csv_columns(table, has_label, list(zip(*rows)), numbers)
+                        break
+                    _csv_columns(table, has_label, list(zip(*rows)), range(read + 1, read + 1 + len(lines)))
                 read += len(lines)
                 del lines, body  # free this block before the next one is read
         except StopIteration:

@@ -4,8 +4,9 @@
 of lines or rows at a time, and builds the flow table from the results;
 these helpers know nothing of flows. They check a whole block with a few
 string and numpy operations and say so when it needs the slower exact
-path: a block that is not plain CSV goes to ``csv.reader``, a batch of
-addresses that are not all dotted quads to per-address checks.
+path: a block that is not plain CSV (``plain_text``) is read with the
+rest of its file by ``csv.reader``, a batch of addresses that are not all
+dotted quads goes to per-address checks.
 """
 
 from __future__ import annotations
@@ -42,42 +43,28 @@ def chunks(items: Iterable, size: int | Callable[[], int]) -> Iterator[list]:
             return
 
 
-def plain_text(lines: list[str], width: int) -> str | None:
+def plain_text(lines: list[str]) -> str | None:
     """The lines joined by LF, without their line ends, if they are plain, else None.
 
     ``csv.reader`` reads each line of a plain block as one row, split on
-    every comma, after its trailing CR and LF characters: the block holds
-    no quote, no other CR or LF, no NUL (which ``csv`` before Python 3.11
-    rejects), no blank line and no line over the field limit, and every
-    line has ``width`` cells.
+    every comma, after its trailing CR and LF characters, and cannot raise:
+    the block holds no quote, no other CR or LF, no NUL (which ``csv``
+    before Python 3.11 rejects) and no line over the field limit.
     """
     text = "".join(lines)
     # Without a CR, only the last line can lack a final LF.
     body = "\n".join(map(str.rstrip, lines, repeat("\r\n"))) if "\r" in text else text.removesuffix("\n")
     limit = csv.field_size_limit()
     if (
-        not body
-        or '"' in body
+        '"' in body
         or "\r" in body
         or "\0" in body
+        or body.count("\n") != len(lines) - 1
         or len(body) > limit
         and max(map(len, body.split("\n"))) > limit
     ):
         return None
-    # One LF between lines, and width - 1 commas on each line.
-    data = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    breaks = np.flatnonzero(data == ord("\n"))
-    if len(breaks) != len(lines) - 1:
-        return None
-    if (np.add.reduceat(data == ord(","), np.append(0, breaks), dtype=np.int64) != width - 1).any():
-        return None
     return body
-
-
-def split_cells(body: str, width: int) -> list[list[str]]:
-    """The cells of a plain block's text (see ``plain_text``), column by column."""
-    cells = body.replace("\n", ",").split(",")
-    return [cells[i::width] for i in range(width)]
 
 
 def printable(body: str) -> bool:

@@ -673,6 +673,67 @@ def test_parse_flow_csv_lets_no_warning_out(text, tokenized, chunk_rows):
     assert got == ref_outcome(ref_parse_flow_csv, text)
 
 
+#: Lines that the tokenizer refuses or skips, each given its label cell when the file has a label column.
+ROUTING_LINES = {
+    "blank": "",
+    "spaces": "  ",
+    "tab": "\t",
+    "ipv6": "2001:db8::1,1000,10.0.0.2,80,3,100,0.5,1.0",
+    "no-packets": "10.0.0.1,1000,10.0.0.2,80,,100,0.5,1.0",
+    "padded": " 10.0.0.1 ,1000,10.0.0.2 , 80 ,3,100, 0.5,1.0 ",
+    "bad-port": "10.0.0.1,70000,10.0.0.2,80,3,100,0.5,1.0",
+    "short": "10.0.0.1,1000,10.0.0.2,80,3,100,0.5",
+    "long": "10.0.0.1,1000,10.0.0.2,80,3,100,0.5,1.0,1,1",
+}
+
+
+def bytes_of(parse):
+    """``parse`` of a text stream's value as UTF-8 bytes, whose lines end at LF, CRLF or CR."""
+    return lambda stream: parse(stream.getvalue().encode())
+
+
+@FUZZ
+@given(
+    n=st.integers(0, 12),
+    has_label=st.booleans(),
+    kinds=st.lists(st.sampled_from(sorted(ROUTING_LINES)), max_size=4),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_newline=st.booleans(),
+    chunk_rows=st.sampled_from([1, 2, 3, 4, 1024]),
+    data=st.data(),
+)
+def test_flow_csv_blocks_the_tokenizer_refuses_match_rowwise_reference(
+    n, has_label, kinds, newline, final_newline, chunk_rows, data
+):
+    """Canonical rows mixed with blank and space lines, IPv6, blank packet counts, padded cells, bad and odd rows."""
+    lines = tokenizer_lines(data.draw, n, has_label, 0) if n else []
+    for kind in kinds:
+        line = ROUTING_LINES[kind] + (",1" if has_label and ROUTING_LINES[kind].strip() else "")
+        lines.insert(data.draw(st.integers(0, len(lines)), label="at"), line)
+    text = newline.join([",".join(CSV_COLUMNS + ("label",) * has_label)] + lines) + newline * final_newline
+    if newline != "\r":  # a text stream splits lines at LF only
+        same_parse(text, chunk_rows)
+    assert outcome(bytes_of(parse_flow_csv), text, chunk_rows) == ref_outcome(bytes_of(ref_parse_flow_csv), text)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1024])
+def test_a_canonical_file_with_blank_lines_is_read_by_the_tokenizer_alone(newline, chunk_rows):
+    """``np.loadtxt`` skips an empty line, as the row reader does, so blank lines keep a block on the tokenizer."""
+    header, *lines = generated_csv().splitlines()
+    rows = len(lines)
+    for at in (len(lines), 1500, 1024, 1023, 7, 1, 0):
+        lines[at:at] = [""] * (1 + at % 3)
+    text = newline.join([header, *lines]) + newline
+    with (
+        mock.patch.object(ingest, "_csv_columns", refuse_rows),
+        mock.patch.object(ingest, "_csv_rows", refuse_rows),
+    ):
+        got = outcome(bytes_of(parse_flow_csv), text, chunk_rows)
+    assert got == ref_outcome(bytes_of(ref_parse_flow_csv), text)
+    assert len(got[0]) == rows
+
+
 def numpy1_loadtxt(source, *args, **kwargs):
     """``np.loadtxt`` as numpy 1.x has it: a float cell in an int column is read, with a DeprecationWarning."""
     text = source.read()

@@ -109,6 +109,51 @@ def test_the_record_of_truncated_floats_is_refused_at_its_first_integer_field():
         FlowDataset([record], labeled=True)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"rel_start": "0.5"}, "field rel_start must be a number, got 0.5"),
+        ({"rel_start": None}, "field rel_start must be a number, got None"),
+        ({"rel_start": b"1"}, "field rel_start must be a number, got b'1'"),
+        ({"duration": "1.0"}, "field duration must be a number, got 1.0"),
+        ({"duration": None}, "field duration must be a number, got None"),
+        ({"duration": b"1"}, "field duration must be a number, got b'1'"),
+        ({"duration": np.str_("2")}, "field duration must be a number, got 2"),
+        ({"rel_start": 1 + 0j}, "field rel_start must be a number, got (1+0j)"),
+        ({"duration": np.complex128(1)}, "field duration must be a number, got (1+0j)"),
+    ],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_a_non_number_in_a_float_column_is_refused(change, message, chunk_rows, labeled):
+    """Compared with its bounds, a str or None raised a bare TypeError, and a complex lost its imaginary part."""
+    flows = [dataclasses.replace(GOOD, seq_no=i) for i in range(5)]
+    flows[3] = dataclasses.replace(flows[3], **change)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows), pytest.raises(ValueError) as caught:
+        FlowDataset(flows, labeled=labeled)
+    assert str(caught.value) == f"record 3: {message}"
+
+
+def test_the_record_with_a_text_start_is_refused_at_that_field():
+    record = FlowRecord("10.0.0.1", 80, "10.0.0.2", 2, 3, 100, "0.5", 1.0, 0, 0)
+    with pytest.raises(ValueError, match=r"^record 0: field rel_start must be a number, got 0\.5$"):
+        FlowDataset([record], labeled=True)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+@pytest.mark.parametrize("other", [0.25, Decimal("0.25")], ids=["float", "decimal"])
+def test_float_columns_still_take_ints_floats_bools_numpy_scalars_fractions_and_decimals(chunk_rows, other):
+    """Each value beside a float, and beside a Decimal, which makes the chunk an object array."""
+    values = [1, 0.5, True, np.float64(2.5), np.int8(3), np.uint64(4), np.bool_(True)]
+    values += [np.longdouble(0.5), Fraction(1, 2), Decimal("1.5")]
+    flows = [dataclasses.replace(GOOD, rel_start=other, duration=other, seq_no=0)]
+    flows += [dataclasses.replace(GOOD, rel_start=v, duration=v, seq_no=i + 1) for i, v in enumerate(values)]
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        dataset = FlowDataset(flows, labeled=True)
+    expected = [0.25] + [float(v) for v in values]
+    assert dataset.rel_start.tolist() == expected and dataset.duration.tolist() == expected
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
 def test_integer_columns_still_take_numpy_integers_bools_and_integers_beyond_int64_within_bounds(chunk_rows):
     flows = [
