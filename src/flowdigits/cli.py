@@ -60,7 +60,7 @@ def _load_dataset(path: str, fmt: str, max_flows: int | None) -> FlowDataset:
 
 
 def _sha256(path: str | Path) -> str:
-    import hashlib  # here, not at start: only a manifest needs OpenSSL (about 3.5 MiB), which can set a run's peak
+    import hashlib  # here: its OpenSSL (about 3.5 MiB) loads after the command has released its pipeline
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
@@ -87,7 +87,8 @@ def _checked_output(output: str, input_path: str | None) -> str:
 
 
 def _write_output(output: str, write: Callable[[IO[str]], object], command: str, config: dict, input_path: str | None):
-    """Write one output file through write(handle), then its manifest side-car; returns what write returned."""
+    """Write one output file through write(handle), then its manifest side-car; returns what write returned.
+    Callers have released all but what write reads, so the OpenSSL that hashing loads does not add to their peak."""
     with open(output, "w", encoding="utf-8", newline="") as handle:
         written = write(handle)
     manifest = {
@@ -203,6 +204,7 @@ def cmd_score(args) -> int:
         _checked_output(args.output, args.input)
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     rows = window_rows(dataset, config)  # scores every window, so input errors raise before writing
+    del dataset  # each command releases the flow table at its last reader
     if args.output is None:
         write_score_rows(rows, sys.stdout)
         return 0
@@ -232,15 +234,21 @@ def cmd_evaluate(args) -> int:
     if args.roc:
         if len(dataset) < config.window.w:
             raise DegenerateLabelsError(f"ROC has no windows: {len(dataset)} flows are fewer than W={config.window.w}")
-        _, scores, _, truths = window_arrays(OrderedFlows(dataset, config), config)
+        flows = OrderedFlows(dataset, config)
+        del dataset  # each at its last reader: the table once ordered, the flows once scored, the scores once ranked
+        scores, truths = window_arrays(flows, config)[1::2]  # starts and validity are not kept
+        del flows
+        n_windows = len(scores)
         rows, auc = roc_rows(scores, truths)  # ranks every window, so degenerate labels raise before writing
+        del scores, truths
         _write_output(
             output, lambda h: write_roc_rows(rows, auc, h), "evaluate --roc", _config_dict(config), args.input
         )
-        print(f"roc over {len(scores)} windows, auc={auc:.9f} -> {output}")
+        print(f"roc over {n_windows} windows, auc={auc:.9f} -> {output}")
         return 0
 
     result = grid_evaluate(dataset, config, w_grid, labeling_grid, metric_set, step=args.step)
+    del dataset
     best = result.best()
     if best is None:
         # Nothing is written; the input error says why each cell is absent.
@@ -266,6 +274,7 @@ def cmd_sweep(args) -> int:
     output = _checked_output(args.output or "wsweep.csv", args.input)
     dataset = _load_dataset(args.input, args.format, args.max_flows)
     result = window_size_sweep(dataset, config, w_grid, step=args.step)
+    del dataset
     _write_output(output, lambda h: write_sweep_csv(result, h), "sweep", _config_dict(config, args.step), args.input)
     present = sum(1 for c in result.cells if c.value is not None)
     print(f"swept {len(result.cells)} window sizes ({present} evaluable) -> {output}")

@@ -152,14 +152,6 @@ class OrderedFlows:
             self._label_cum = np.zeros(self.n_flows + 1, dtype=np.int64)
             np.cumsum(dataset.label[order], dtype=np.int64, out=self._label_cum[1:])
 
-    def digit_counts(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """(k, 10) first-digit counts of the differences [start, start + length), for starts in any order."""
-        order = np.argsort(starts, kind="stable")
-        counts = np.empty((len(starts), 10), dtype=np.int64)
-        for part, chunk in self.window_counts(starts[order], length):
-            counts[order[part]] = chunk
-        return counts
-
     def window_counts(self, starts: np.ndarray, length: int) -> Iterator[tuple[slice, np.ndarray]]:
         """(part, (k, 10) first-digit counts of the differences [start, start + length)) per batch of ascending starts.
 

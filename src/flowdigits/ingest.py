@@ -345,7 +345,7 @@ class _TableBuilder:
                 values[name] = array = np.array(columns[name], dtype=object)  # so Python compares them, exactly
                 takes, refuses, rule = _KINDS[kind]
                 check(name, np.array([isinstance(v, takes) and not isinstance(v, refuses) for v in array]), rule)
-        rules = [(name, (values[name] >= lo) & (values[name] <= hi), rule) for name, (lo, hi, rule) in _BOUNDS.items()]
+        rules = [(name, _within(values[name], lo, hi), rule) for name, (lo, hi, rule) in _BOUNDS.items()]
         size, packets, has_packets = values["bytes_total"], values["packets_total"], np.asarray(columns["has_packets"])
         rules.append(("bytes_total", (size >= 1) | (packets < 1) | ~has_packets, "at least 1 in a flow with packets"))
         for rule in rules:
@@ -390,6 +390,18 @@ class _TableBuilder:
         if labeled is None:
             labeled = bool((columns["label"] >= 0).all())
         return FlowDataset._from_columns(columns, addresses, ipv4, labeled, source_name)
+
+
+def _within(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """lo <= v <= hi of each value. Python compares an object array's, a numpy scalar as its Python value (numpy would
+    cast float64's max down to a float32's inf, or an int beyond float64 to a float); a NaN Decimal is out of bounds."""
+    if values.dtype != object:
+        return (values >= lo) & (values <= hi)
+    from decimal import InvalidOperation, localcontext  # only an object array can hold a Decimal
+    lo, hi, *values = (v.item() if isinstance(v, np.generic) else v for v in (lo, hi, *values))
+    with localcontext() as context:
+        context.traps[InvalidOperation] = False  # so a NaN Decimal compares False, where it would raise
+        return np.array([lo <= v <= hi for v in values], dtype=bool)
 
 
 @contextmanager
@@ -867,8 +879,8 @@ def _kdd_block(data: bytes, ends: np.ndarray, lineno: int) -> tuple[np.ndarray, 
     A comma index finds each line's protocol, counts and class; ``lineno`` numbers the first line. Odd lines are
     decoded and go to ``_kdd_row`` one by one: a quote or a byte from NUL to CR before the line end, fewer than 41
     commas, a protocol other than exactly tcp, udp or icmp, or on a tcp line a count other than 1 to 18 ASCII digits
-    or a class over 32 bytes or with a byte other than an ASCII letter, digit, "_", "." or "-". A bad odd line makes
-    ``_kdd_rows`` raise the block's first bad line.
+    or a class over 32 bytes or with a byte other than an ASCII letter, digit, "_", "." or "-". Every other line
+    passes ``_kdd_row``'s rules, so the first odd line that ``_kdd_row`` refuses is the block's first bad line.
     """
     encoded = data + b"." * 32  # a cell read past the last line reads dots
     data = np.frombuffer(encoded, dtype=np.uint8)
@@ -897,15 +909,9 @@ def _kdd_block(data: bytes, ends: np.ndarray, lineno: int) -> tuple[np.ndarray, 
     size, label = np.full(len(ends), -1, dtype=np.int64), np.zeros(len(ends), dtype=np.int8)
     size[rows], label[rows] = numbers.reshape(2, -1).sum(axis=0), ~(cls == _NORMAL[: len(cls), None]).all(axis=0)
     size[odd] = -1
-    def line(i: int) -> str:
-        return encoded[ends[i - 1] if i else 0 : ends[i]].decode("utf-8", "surrogatepass")
-    try:
-        for i in np.flatnonzero(odd).tolist():
-            size[i], label[i] = _kdd_row(line(i), lineno + i) or (-1, 0)
-    except ParseError:  # so the block's first bad line is found row by row, from the top
-        size = None
-    if size is None:
-        _kdd_rows(list(map(line, range(len(ends)))), lineno)
+    for i in np.flatnonzero(odd).tolist():
+        line = encoded[ends[i - 1] if i else 0 : ends[i]].decode("utf-8", "surrogatepass")
+        size[i], label[i] = _kdd_row(line, lineno + i) or (-1, 0)
     return size[size >= 0], label[size >= 0]
 
 
@@ -927,13 +933,6 @@ def _kdd_row(line: str, number: int) -> tuple[int, bool] | None:
         raise ParseError(f"expected at least 42 fields, got {len(row)}", number)
     if row and row[1].strip().lower() == "tcp":
         return _kdd_size(row[4], row[5], number), row[-1].strip().rstrip(".") != "normal"
-
-
-def _kdd_rows(lines: list[str], lineno: int) -> None:
-    """Raise the first bad line's ParseError, checked row by row; ``lineno`` numbers the first. Else AssertionError."""
-    for number, line in enumerate(lines, start=lineno):
-        _kdd_row(line, number)
-    raise AssertionError(f"lines {lineno}..{lineno + len(lines) - 1} fail the column checks but pass the row checks")
 
 
 def flow_order(dataset: FlowDataset, scheme: OrderingScheme) -> np.ndarray:

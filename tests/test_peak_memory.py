@@ -1,4 +1,5 @@
-"""Peak traced memory of building a flow table, against the bytes of its columns.
+"""Peak traced memory of building a flow table, against the bytes of its columns; what a command still holds
+when it fingerprints its output.
 
 The flow CSV dataset is the README quick start's: 36,000 log-uniform normal
 flows and two 3,000-flow bursts. ``generate`` folds each octet draw into its
@@ -6,9 +7,14 @@ addresses as it is drawn, and the table builder grows each column in place,
 so neither holds a second copy of the table while it is built. The KDD file
 holds 50,000 seeded TCP records, which ``adapt_kdd`` converts a block of
 lines at a time.
+
+A manifest's first SHA-256 maps OpenSSL, so each command releases its flow
+table, ordered flows and window arrays before ``_write_output`` hashes.
 """
 
 import tracemalloc
+import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from flowdigits import (
     parse_flow_csv,
     write_flow_csv,
 )
+from flowdigits import cli, detector, evaluation
 from flowdigits.ingest import _COLUMN_TYPES
 
 QUICKSTART = GeneratorSpec(
@@ -89,3 +96,82 @@ def test_adapt_kdd_peaks_at_most_1_6_times_its_columns(kdd_file):
     dataset, peak = traced_peak(lambda: adapt_kdd(kdd_file))
     assert len(dataset) == 50_000
     assert peak <= 1.6 * column_bytes(dataset)
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "synth.csv"
+    spec = GeneratorSpec(seed=11, n_normal=3_000, attacks=(AttackBurst(900, 400, ConstantSize(1500)),))
+    write_flow_csv(generate(spec), path)
+    return path
+
+
+@pytest.fixture
+def pipeline(monkeypatch):
+    """Weak references, by kind, to each flow table, OrderedFlows and window array a command makes; ``at_hash`` names
+    the kinds still alive when ``_sha256`` first runs, and ``at_windows`` those alive as each ``window_arrays`` starts.
+    """
+    refs: list[tuple[str, weakref.ref]] = []
+
+    def keep(kind, *objects):
+        refs.extend((kind, weakref.ref(obj)) for obj in objects if obj is not None)
+
+    def alive():
+        return sorted({kind for kind, ref in refs if ref() is not None})
+
+    class Watched(detector.OrderedFlows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            keep("OrderedFlows", self)
+
+    load_dataset, window_arrays, sha256 = cli._load_dataset, detector.window_arrays, cli._sha256
+    state = {"refs": refs, "at_hash": None, "at_windows": []}
+
+    def watched_load(*args):
+        dataset = load_dataset(*args)
+        keep("dataset", dataset)
+        return dataset
+
+    def watched_windows(*args):
+        state["at_windows"].append(alive())
+        arrays = window_arrays(*args)
+        keep("window_arrays", *arrays)
+        return arrays
+
+    def watched_sha256(path):
+        if state["at_hash"] is None:
+            state["at_hash"] = alive()
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_load_dataset", watched_load)
+    monkeypatch.setattr(cli, "_sha256", watched_sha256)
+    for module in (detector, evaluation):
+        monkeypatch.setattr(module, "OrderedFlows", Watched)
+        monkeypatch.setattr(module, "window_arrays", watched_windows)
+    return state
+
+
+ALL_KINDS = ["OrderedFlows", "dataset", "window_arrays"]
+
+
+@pytest.mark.parametrize(
+    "argv, kinds",
+    [
+        (["evaluate", "--roc", "--window", "200", "--step", "1", "--labeling-abs", "5"], ALL_KINDS),
+        (["evaluate", "--windows", "100,500", "--tl", "0.01..0.1", "--metrics", "chi2,mkld"], ALL_KINDS[:2]),
+        (["sweep", "--windows", "100,500,5000"], ALL_KINDS),
+        (["score", "--window", "500", "--tl", "0.1"], ALL_KINDS),
+    ],
+    ids=["roc", "grid", "sweep", "score"],
+)
+def test_a_command_holds_no_flow_table_or_window_arrays_when_it_hashes(pipeline, small_csv, tmp_path, argv, kinds):
+    with pytest.warns(RuntimeWarning) if argv[0] == "sweep" else nullcontext():  # W=5000 exceeds the flow count
+        assert cli.main([*argv, str(small_csv), "-o", str(tmp_path / "out.csv")]) == 0
+    assert sorted({kind for kind, _ in pipeline["refs"]}) == kinds
+    assert pipeline["at_hash"] == []
+
+
+def test_evaluate_roc_releases_the_flow_table_before_it_scores_the_windows(pipeline, small_csv, tmp_path):
+    argv = ["evaluate", "--roc", "--window", "200", "--step", "1", "--labeling-abs", "5", str(small_csv)]
+    assert cli.main([*argv, "-o", str(tmp_path / "roc.csv")]) == 0
+    assert pipeline["at_windows"] == [["OrderedFlows"]]

@@ -9,6 +9,7 @@ is not an IP address before it writes a byte.
 import dataclasses
 import io
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
@@ -152,6 +153,39 @@ def test_float_columns_still_take_ints_floats_bools_numpy_scalars_fractions_and_
         dataset = FlowDataset(flows, labeled=True)
     expected = [0.25] + [float(v) for v in values]
     assert dataset.rel_start.tolist() == expected and dataset.duration.tolist() == expected
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+@pytest.mark.parametrize(
+    "first, change, message",
+    [
+        (
+            {"rel_start": Fraction(1, 4)},
+            {"rel_start": np.float32(np.inf)},
+            "field rel_start must be finite and non-negative, got inf",
+        ),
+        ({}, {"duration": Decimal("nan")}, "field duration must be finite and non-negative, got NaN"),
+        (
+            {"duration": Decimal(1)},
+            {"duration": 2**1100},
+            f"field duration must be finite and non-negative, got {2**1100}",
+        ),
+    ],
+    ids=["float32-inf-beside-a-fraction", "nan-decimal", "int-beyond-float64-beside-a-decimal"],
+)
+def test_an_object_float_column_compares_each_value_with_its_bounds_exactly(chunk_rows, first, change, message):
+    """Beside a Fraction, numpy compared the float32 with float64's max cast to float32, which is inf, and took it;
+    a NaN Decimal raised decimal.InvalidOperation when compared with a bound; an int beyond float64 must not raise
+    OverflowError. None warns, and the chunk that holds the refused record appends nothing."""
+    flows = [dataclasses.replace(GOOD, **first), dataclasses.replace(GOOD, **change, seq_no=1)]
+    table = ingest._TableBuilder()
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^record 1: {message}$"):
+            FlowDataset(flows, labeled=True)
+        with pytest.raises(ValueError, match=f"^record 1: {message}$"):
+            table.add_rows(attrgetter(*FlowRecord.__slots__)(flow) for flow in flows)
+    assert table.n_rows == (1 if chunk_rows == 1 else 0)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
