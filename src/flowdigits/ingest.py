@@ -276,9 +276,22 @@ def _address_ranks(addresses: Sequence[str]) -> np.ndarray:
 
 
 def _rank_ipv4(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The sorted distinct numbers of two IPv4 code columns (uint32 bits as int32), whose numbers become their ranks."""
-    ipv4, ranks = np.unique(np.concatenate((src, dst)).view(np.uint32), return_inverse=True)
-    src[:], dst[:] = ranks[: len(src)], ranks[len(src) :]
+    """The sorted distinct numbers of two IPv4 code columns (uint32 bits as int32), whose numbers become their ranks.
+
+    Its working set is about 20 B a value: the number, its int64 sort index, the sorted number (then its rank), a
+    mask and the distinct numbers (4 + 8 + 4 + 1 + up to 4). ``np.unique(..., return_inverse=True)`` holds about 40."""
+    codes = np.concatenate((src, dst))
+    order = codes.view(np.uint32).argsort()
+    ordered = codes.view(np.uint32)[order]
+    first = np.ones(len(ordered), dtype=bool)  # the first of each run of equal numbers
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    ipv4 = ordered[first]
+    ranks = ordered.view(np.int32)  # in the sorted numbers' place: np.cumsum(first, dtype=np.int32) holds a cast copy
+    ranks[:] = first
+    np.cumsum(ranks, out=ranks)
+    ranks -= 1
+    codes[order] = ranks
+    src[:], dst[:] = codes[: len(src)], codes[len(src) :]
     return ipv4
 
 

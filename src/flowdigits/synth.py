@@ -142,7 +142,6 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
     sizes[labels == 0] = normal
     del normal
 
-    packets = np.maximum(1, sizes // NOMINAL_PACKET_BYTES)
     durations = rng.uniform(0.0, 1.0, total)
     # Addresses are IPv4 numbers until they are ranked, each octet draw folded in as it is drawn; the table
     # formats them only where they are read.
@@ -158,6 +157,7 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
         dst_ports[span] = int(rng.integers(1, 65536))
 
     ipv4 = _rank_ipv4(src_codes, dst_codes)
+    packets = np.maximum(1, sizes // NOMINAL_PACKET_BYTES)  # derived, not drawn: made after the ranking's peak
     columns = dict(
         bytes_total=sizes, packets_total=packets, has_packets=np.ones(total, dtype=bool), label=labels,
         rel_start=np.arange(total) * START_SPACING_S, duration=durations, seq_no=np.arange(total, dtype=np.int64),
@@ -169,7 +169,8 @@ def generate(spec: GeneratorSpec) -> FlowDataset:
 def _ipv4(head: int, octets: np.ndarray) -> np.ndarray:
     """IPv4 numbers, as uint32 bits viewed as int32, of the leading octets ``head`` and each row of ``octets``."""
     width = octets.shape[-1]
-    numbers = octets @ (256 ** np.arange(width - 1, -1, -1)) + (head << 8 * width)
+    numbers = octets @ (256 ** np.arange(width - 1, -1, -1))
+    numbers += head << 8 * width
     return numbers.astype(np.uint32).view(np.int32)
 
 

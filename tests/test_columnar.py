@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flowdigits import (
@@ -1396,6 +1396,31 @@ def test_ipv4_texts_of_random_values_equal_octets_joined_by_dots():
     texts = textblock.ipv4_texts(values)
     assert texts == joined_ipv4_texts(values)
     assert textblock.ipv4_values(texts).tolist() == values.tolist()
+
+
+#: The bit patterns 0, 2**31 - 1, 2**31 and 2**32 - 1 as int32: the ends of both signed halves.
+RANK_EDGES = [0, 2**31 - 1, -(2**31), -1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(*[st.one_of(st.sampled_from(RANK_EDGES), st.integers(-(2**31), 2**31 - 1))] * 2)),
+    shared=st.lists(st.sampled_from(RANK_EDGES + [7, 8]), max_size=20),
+)
+@example(pairs=[], shared=[])
+@example(pairs=[(5, 5)], shared=[])
+@example(pairs=[(-1, -1)] * 40, shared=[-1] * 20)
+@example(pairs=[(value, value) for value in RANK_EDGES], shared=RANK_EDGES)
+def test_rank_ipv4_equals_np_unique_of_both_columns(pairs, shared):
+    """``_rank_ipv4`` returns np.unique's sorted distinct uint32 numbers and rewrites both int32 columns in place
+    with np.unique's inverse; ``shared`` values sit in both columns, so src and dst hold duplicates of each other."""
+    src = np.array([src for src, _ in pairs] + shared, dtype=np.int32)
+    dst = np.array([dst for _, dst in pairs] + shared[::-1], dtype=np.int32)
+    ipv4, inverse = np.unique(np.concatenate((src, dst)).view(np.uint32), return_inverse=True)
+    got = ingest._rank_ipv4(src, dst)
+    assert got.dtype == np.uint32 and got.tolist() == ipv4.tolist()
+    assert src.dtype == dst.dtype == np.int32
+    assert src.tolist() == inverse[: len(src)].tolist() and dst.tolist() == inverse[len(src) :].tolist()
 
 
 # -- ordering property ----------------------------------------------------------------

@@ -8,6 +8,12 @@ so neither holds a second copy of the table while it is built. The KDD file
 holds 50,000 seeded TCP records, which ``adapt_kdd`` converts a block of
 lines at a time.
 
+Ranking the IPv4 endpoints (``_rank_ipv4``) sets the peak of both flow-table
+builds. It holds about 20 B a value (``np.unique`` with its inverse about
+40), so ``generate`` and ``parse_flow_csv`` peak at about twice their
+columns. Their older 3x and 2.5x bounds stay; the 2x bounds, and 24 B a
+value for the ranking alone, hold it to that working set.
+
 A manifest's first SHA-256 maps OpenSSL, so each command releases its flow
 table, ordered flows and window arrays before ``_write_output`` hashes.
 """
@@ -30,7 +36,7 @@ from flowdigits import (
     write_flow_csv,
 )
 from flowdigits import cli, detector, evaluation
-from flowdigits.ingest import _COLUMN_TYPES
+from flowdigits.ingest import _COLUMN_TYPES, _rank_ipv4
 
 QUICKSTART = GeneratorSpec(
     seed=7,
@@ -73,6 +79,31 @@ def test_parse_flow_csv_peaks_at_most_two_and_a_half_times_its_columns(quickstar
     dataset, peak = traced_peak(lambda: parse_flow_csv(source))
     assert len(dataset) == 42_000
     assert peak <= 2.5 * column_bytes(dataset)
+
+
+def test_rank_ipv4_peaks_at_most_24_bytes_a_value():
+    """100,000 flows' endpoints as the quick start draws them: 10/8 sources, 192.168/16 destinations."""
+    rng = np.random.default_rng(7)
+    src = (10 << 24 | rng.integers(0, 1 << 24, 100_000)).astype(np.uint32).view(np.int32)
+    dst = (192 << 24 | 168 << 16 | rng.integers(0, 1 << 16, 100_000)).astype(np.uint32).view(np.int32)
+    expected = np.unique(np.concatenate((src, dst)).view(np.uint32), return_inverse=True)
+    ipv4, peak = traced_peak(lambda: _rank_ipv4(src, dst))
+    assert ipv4.tolist() == expected[0].tolist() and np.concatenate((src, dst)).tolist() == expected[1].tolist()
+    assert peak <= 24 * 200_000
+
+
+def test_generate_peaks_at_most_twice_its_columns():
+    dataset, peak = traced_peak(lambda: generate(QUICKSTART))
+    assert len(dataset) == 42_000
+    assert peak <= 2 * column_bytes(dataset)
+
+
+@pytest.mark.parametrize("read", [lambda path: path.read_bytes(), lambda path: path], ids=["bytes", "path"])
+def test_parse_flow_csv_peaks_at_most_twice_its_columns(quickstart_csv, read):
+    source = read(quickstart_csv)
+    dataset, peak = traced_peak(lambda: parse_flow_csv(source))
+    assert len(dataset) == 42_000
+    assert peak <= 2 * column_bytes(dataset)
 
 
 @pytest.fixture(scope="module")
