@@ -44,7 +44,7 @@ dotted-quad IPv4, the codes are ranks of their sorted 32-bit numbers, which
 the IP orderings sort, and the strings are built on first read. The arrays
 are read-only and nothing changes a dataset once built, so it is safe to
 share between threads: threads that build a cached view at once get equal ones.
-Parsing is not: ``_tokenized_columns`` sets a process-wide warnings filter.
+Parsers may run on several threads at once: they change no process-wide state.
 ``dataset.flows`` is the same table as a tuple of ``FlowRecord``; it is
 built on first read and cached, and scoring never reads it.
 """
@@ -58,7 +58,6 @@ import ipaddress
 import math
 import numbers
 import re
-import warnings
 import zlib
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -299,7 +298,7 @@ _PORT, _SIZE = (0, 65535, "in 0..65535"), (0, MAX_SIZE, f"in 0..{MAX_SIZE}")
 _TIME = (0.0, np.finfo(np.float64).max, "finite and non-negative")
 #: The bounds of each column that ``_TableBuilder.add`` checks, and the rule they make, in the order checked.
 _BOUNDS = dict(src_port=_PORT, dst_port=_PORT, packets_total=_SIZE, bytes_total=_SIZE, rel_start=_TIME, duration=_TIME)
-_BOUNDS["label"] = (-1, 1, "in -1..1")
+_BOUNDS.update(label=(-1, 1, "in -1..1"), seq_no=(-(2**63), 2**63 - 1, "an int64"))
 #: The types an integer or a float column takes, and refuses, checked before its bounds: the cast to an integer
 #: column would truncate a float (80.9 to 80), and a str, None or complex value does not compare with a bound.
 _KINDS = {"i": ((int, np.integer), (), "an integer")}
@@ -346,6 +345,7 @@ class _TableBuilder:
         (``_KINDS``) and within ``_BOUNDS`` (as given, before the cast to its column's dtype), and no flow with packets
         has zero bytes. Else raise a ValueError naming the first bad record and field, and append nothing."""
         start, end = self.n_rows, self.n_rows + len(columns["bytes_total"])
+        columns.setdefault("seq_no", np.arange(start, end))
         values = {name: np.asarray(columns[name]) for name in _BOUNDS}
 
         def check(name: str, ok: np.ndarray, rule: str) -> None:
@@ -364,7 +364,6 @@ class _TableBuilder:
         for rule in rules:
             check(*rule)
         columns.update(values)
-        columns.setdefault("seq_no", np.arange(start, end))
         for name, column in self._columns.items():
             if end > len(column):
                 column.resize(max(end, 2 * len(column)), refcheck=False)
@@ -375,6 +374,9 @@ class _TableBuilder:
         """Append rows of FlowRecord field values (None: absent; seq_no optional) a chunk at a time through ``add``."""
         for chunk in chunks(rows, _CHUNK_ROWS):
             src_ip, src_port, dst_ip, dst_port, packets, bytes_total, rel_start, duration, label, *seq_no = zip(*chunk)
+            for name, texts in (("src_ip", src_ip), ("dst_ip", dst_ip)):
+                if (row := next((i for i, text in enumerate(texts) if not isinstance(text, str)), None)) is not None:
+                    raise ValueError(f"record {self.n_rows + row}: field {name} must be a string, got {texts[row]}")
             self.add(
                 **self.codes(src_ip, dst_ip, validate=False),
                 src_port=src_port,
@@ -567,28 +569,23 @@ _CSV_ROW += [("bytes_total", "i8"), ("rel_start", "f8"), ("duration", "f8")]
 def _tokenized_columns(table: _TableBuilder, has_label: bool, body: str) -> bool:
     """Add a plain block (``textblock.plain_text``) through numpy's tokenizer if it is canonical, else return False.
 
-    Canonical: printable ASCII, which ``np.loadtxt`` converts without a
-    warning, dotted-quad addresses while the table holds IPv4 numbers, labels
-    "0", "1" or empty, and rows that ``table.add`` takes. ``loadtxt`` refuses
-    a row of the wrong width (a line of spaces is one) and skips an empty
-    line, as ``_csv_rows`` does. On printable ASCII ``loadtxt`` converts a
-    number cell only where ``int()`` or ``float()`` gives the same value,
-    bit for bit, and it refuses a blank packet count. numpy 1.x reads a
-    float cell such as "1.0" into an int column with a warning; ``int()``
-    refuses it, and so does this path, as it refuses any warning. That
-    filter is the whole process's (``warnings.catch_warnings``), which is
-    not thread-safe. A block of blank lines only holds no row to add.
+    Canonical: printable ASCII, dotted-quad addresses while the table holds
+    IPv4 numbers, labels "0", "1" or empty, and rows that ``table.add``
+    takes. ``loadtxt`` refuses a row of the wrong width (a line of spaces is
+    one) and skips an empty line, as ``_csv_rows`` does. On printable ASCII
+    ``loadtxt`` converts a number cell only where ``int()`` or ``float()``
+    gives the same value, bit for bit, and it refuses a blank packet count
+    and a float cell such as "1.0" in an int column. A block of blank lines
+    only holds no row to add.
     """
-    if not body.strip("\n"):  # blank lines only: no row to add
+    if not body.strip("\n"):  # blank lines only: no row to add, and no "input contained no data" warning
         return True
     if table._index is not None or not printable(body):
         return False
     dtype = _CSV_ROW + [("label", "S2")] * has_label
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(body), dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
-    except (ValueError, Warning):
+        rows = np.loadtxt(io.StringIO(body), dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except ValueError:
         return False
     codes = table.ipv4_codes(np.concatenate((rows["src_ip"], rows["dst_ip"])))
     columns = {name: rows[name] for name, _ in _CSV_ROW if name not in ("src_ip", "dst_ip")}

@@ -13,6 +13,7 @@ import io
 import ipaddress
 import math
 import socket
+import threading
 import warnings
 from unittest import mock
 
@@ -732,38 +733,58 @@ def test_a_canonical_file_with_blank_lines_is_read_by_the_tokenizer_alone(newlin
     assert len(got[0]) == rows
 
 
-def numpy1_loadtxt(source, *args, **kwargs):
-    """``np.loadtxt`` as numpy 1.x has it: a float cell in an int column is read, with a DeprecationWarning."""
-    text = source.read()
-    rows = REAL_LOADTXT(io.StringIO(text.replace(",1.0,", ",1,")), *args, **kwargs)
-    if ",1.0," in text:
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
-    return rows
-
-
-def warning_loadtxt(source, *args, **kwargs):
-    """``np.loadtxt`` that warns, and returns ports that are off by one."""
-    rows = REAL_LOADTXT(source, *args, **kwargs)
-    rows["src_port"] += 1
-    warnings.warn("a tokenizer warning", UserWarning, stacklevel=2)
-    return rows
-
-
-REAL_LOADTXT = np.loadtxt
-
-
-@pytest.mark.parametrize("tokenizer", [numpy1_loadtxt, warning_loadtxt])
-@pytest.mark.parametrize("caller_filter", ["ignore", "default", "error"])
-def test_a_block_the_tokenizer_reads_with_a_warning_is_read_column_wise(tokenizer, caller_filter):
-    ports = ["80"] * 5 + ["1.0"] + ["80"] * 3
-    lines = [f"10.0.{i}.1,{1000 + i},192.168.0.{i},{port},3,{100 + i},{i * 0.5},2.0,1" for i, port in enumerate(ports)]
-    text = ",".join(CSV_COLUMNS) + ",label\n" + "\n".join(lines) + "\n"
-    for case in (text, text.replace(",1.0,", ",80,")):
+@pytest.mark.parametrize("column", range(len(TOKENIZER_CELLS)), ids=CSV_COLUMNS + ("label",))
+@pytest.mark.parametrize("chunk_rows", [1, 1024])
+def test_no_tokenizer_edge_cell_makes_a_warning(column, chunk_rows):
+    """Parsed with every warning an error, each edge cell of the column gives the reference's outcome."""
+    rows = [[canonical[0] for canonical, _ in TOKENIZER_CELLS] for _ in range(4)]
+    for cell in TOKENIZER_CELLS[column][1]:
+        rows[2][column] = cell
+        text = "\n".join([",".join(CSV_COLUMNS + ("label",))] + [",".join(row) for row in rows]) + "\n"
         with warnings.catch_warnings():
-            warnings.simplefilter(caller_filter)
-            with mock.patch.object(np, "loadtxt", tokenizer):
-                got = outcome(parse_flow_csv, case, 4)
-        assert got == ref_outcome(ref_parse_flow_csv, case)
+            warnings.simplefilter("error")
+            got = outcome(parse_flow_csv, text, chunk_rows)
+        assert got == ref_outcome(ref_parse_flow_csv, text), cell
+
+
+def test_two_threads_parse_at_once_and_leave_the_warnings_filters_as_they_were():
+    """Thread a enters ``np.loadtxt``, then thread b does; a's parse ends, then b's. A parser that saved and restored
+    the process's warnings filters around ``loadtxt`` left b's saved copy, which held a's "error" filter, in place."""
+    text = ",".join(CSV_COLUMNS) + ",label\n" + (FLOW_LINE + "\n") * 3
+    expected = parse_flow_csv(io.StringIO(text))
+    a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+    real_loadtxt, results = np.loadtxt, {}
+
+    def loadtxt(*args, **kwargs):
+        if threading.current_thread().name == "a":
+            a_in.set()
+            assert b_in.wait(10)
+        else:
+            b_in.set()
+            assert a_done.wait(10)
+        return real_loadtxt(*args, **kwargs)
+
+    def run():
+        name = threading.current_thread().name
+        try:
+            results[name] = parse_flow_csv(io.StringIO(text))
+        finally:
+            if name == "a":
+                a_done.set()
+
+    threads = {name: threading.Thread(target=run, name=name) for name in "ab"}
+    with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", loadtxt):  # restores the filters, pass or fail
+        filters = list(warnings.filters)
+        threads["a"].start()
+        assert a_in.wait(10)
+        threads["b"].start()
+        for thread in threads.values():
+            thread.join(30)
+            assert not thread.is_alive()
+        assert warnings.filters == filters
+    assert sorted(results) == ["a", "b"]
+    for dataset in results.values():
+        assert (dataset.flows, dataset.labeled) == (expected.flows, expected.labeled)
 
 
 #: (valid, invalid) spellings of each flow CSV field, label last.

@@ -56,6 +56,12 @@ SIZES = f"in 0..{MAX_SIZE}"
         ({"label": -2}, "field label must be in -1..1, got -2"),
         ({"src_port": 2**32 + 80}, f"field src_port must be in 0..65535, got {2**32 + 80}"),  # 80 as int32
         ({"dst_port": -1}, "field dst_port must be in 0..65535, got -1"),
+        ({"seq_no": 2**63}, f"field seq_no must be an int64, got {2**63}"),
+        ({"seq_no": 2**64}, f"field seq_no must be an int64, got {2**64}"),
+        ({"seq_no": -(2**63) - 1}, f"field seq_no must be an int64, got {-(2**63) - 1}"),
+        ({"src_ip": None}, "field src_ip must be a string, got None"),
+        ({"dst_ip": 167772161}, "field dst_ip must be a string, got 167772161"),
+        ({"src_ip": b"10.0.0.1"}, "field src_ip must be a string, got b'10.0.0.1'"),
     ],
 )
 @pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
@@ -91,6 +97,8 @@ def test_a_size_beyond_int64_is_refused_though_a_later_record_is_negative(chunk_
         ({"label": 1.0}, "field label must be an integer, got 1.0"),
         ({"src_port": "80"}, "field src_port must be an integer, got 80"),
         ({"dst_port": None}, "field dst_port must be an integer, got None"),
+        ({"seq_no": 1.5}, "field seq_no must be an integer, got 1.5"),
+        ({"seq_no": None}, "field seq_no must be an integer, got None"),
     ],
 )
 @pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
@@ -170,8 +178,16 @@ def test_float_columns_still_take_ints_floats_bools_numpy_scalars_fractions_and_
             {"duration": 2**1100},
             f"field duration must be finite and non-negative, got {2**1100}",
         ),
+        ({"src_ip": "2001:db8::1"}, {"dst_ip": None}, "field dst_ip must be a string, got None"),
+        ({"dst_ip": "2001:db8::1"}, {"src_ip": 167772161}, "field src_ip must be a string, got 167772161"),
     ],
-    ids=["float32-inf-beside-a-fraction", "nan-decimal", "int-beyond-float64-beside-a-decimal"],
+    ids=[
+        "float32-inf-beside-a-fraction",
+        "nan-decimal",
+        "int-beyond-float64-beside-a-decimal",
+        "none-endpoint-after-ipv6",
+        "int-endpoint-after-ipv6",
+    ],
 )
 def test_an_object_float_column_compares_each_value_with_its_bounds_exactly(chunk_rows, first, change, message):
     """Beside a Fraction, numpy compared the float32 with float64's max cast to float32, which is inf, and took it;
